@@ -1,11 +1,8 @@
 module Table = Vmk_stats.Table
-module Machine = Vmk_hw.Machine
-module Accounts = Vmk_trace.Accounts
-module Counter = Vmk_trace.Counter
 module Cluster = Vmk_ukernel.Smp_cluster
 module Svmm = Vmk_vmm.Smp_vmm
 
-type kind = Uk_colocated | Uk_pinned | Vmm_dom0 | Vmm_drivers
+type kind = Uk_colocated | Uk_pinned | Vmm_dom0 | Vmm_drivers | Vmm_fleet of int
 
 let kinds = [ Uk_colocated; Uk_pinned; Vmm_dom0; Vmm_drivers ]
 
@@ -14,45 +11,73 @@ let label = function
   | Uk_pinned -> "uk/pinned"
   | Vmm_dom0 -> "vmm/single-dom0"
   | Vmm_drivers -> "vmm/driver-domains"
+  | Vmm_fleet n -> Printf.sprintf "vmm/%d-domain-fleet" n
 
 type run = {
   completed : int;
   wall : int64;
-  mach : Machine.t;
   contended : int;
   spin : int64;
+  fp : Scenario.fingerprint;
 }
 
-let seed = 14L
-
-let run_case ~kind ~cores ~packets =
+let run_case ?(seed = 14L) ?(coalesce = 1) ~kind ~cores ~packets () =
   match kind with
   | Uk_colocated | Uk_pinned ->
       let placement =
         match kind with Uk_pinned -> Cluster.Pinned | _ -> Cluster.Colocated
       in
-      let cfg = { (Cluster.default ~placement ~cores ()) with Cluster.packets } in
+      let cfg =
+        { (Cluster.default ~placement ~cores ()) with Cluster.packets; coalesce }
+      in
       let r = Cluster.run ~seed cfg in
       {
         completed = r.Cluster.completed;
         wall = r.Cluster.wall;
-        mach = r.Cluster.mach;
         contended = r.Cluster.mapdb_contended;
         spin = r.Cluster.mapdb_spin;
+        fp =
+          Scenario.fingerprint r.Cluster.mach ~packets:r.Cluster.completed
+            ~arrivals:[];
       }
-  | Vmm_dom0 | Vmm_drivers ->
+  | Vmm_dom0 | Vmm_drivers | Vmm_fleet _ ->
       let backend =
-        match kind with Vmm_drivers -> Svmm.Driver_domains | _ -> Svmm.Single_dom0
+        match kind with
+        | Vmm_drivers -> Svmm.Driver_domains
+        | Vmm_fleet n -> Svmm.Fixed_domains n
+        | _ -> Svmm.Single_dom0
       in
-      let cfg = { (Svmm.default ~backend ~cores ()) with Svmm.packets } in
+      let cfg =
+        { (Svmm.default ~backend ~cores ()) with Svmm.packets; coalesce }
+      in
       let r = Svmm.run ~seed cfg in
       {
         completed = r.Svmm.completed;
         wall = r.Svmm.wall;
-        mach = r.Svmm.mach;
         contended = r.Svmm.gnt_contended;
         spin = r.Svmm.gnt_spin;
+        fp =
+          Scenario.fingerprint r.Svmm.mach ~packets:r.Svmm.completed
+            ~arrivals:[];
       }
+
+let irq_cycles r = Scenario.fp_account r.fp "smp.irq"
+
+let coalescing_storms ~seed ~packets =
+  List.map
+    (fun kind ->
+      ( kind,
+        List.map
+          (fun coalesce ->
+            (coalesce, run_case ~seed ~coalesce ~kind ~cores:8 ~packets ()))
+          [ 1; 8 ] ))
+    [ Uk_colocated; Vmm_drivers ]
+
+let composes runs =
+  let c1 = List.assoc 1 runs and c8 = List.assoc 8 runs in
+  c8.completed = c1.completed
+  && Int64.compare (irq_cycles c8) (irq_cycles c1) < 0
+  && Int64.compare c8.wall c1.wall <= 0
 
 (* Packets completed per million cycles of virtual wall time. *)
 let throughput r =
@@ -74,7 +99,7 @@ let experiment =
         let results =
           List.map
             (fun cores ->
-              (cores, List.map (fun kind -> (kind, run_case ~kind ~cores ~packets)) kinds))
+              (cores, List.map (fun kind -> (kind, run_case ~kind ~cores ~packets ())) kinds))
             core_counts
         in
         let tput ~cores ~kind =
@@ -111,24 +136,24 @@ let experiment =
         in
         List.iter
           (fun (kind, r) ->
-            let c = r.mach.Machine.counters in
-            let a = r.mach.Machine.accounts in
+            let counter = Scenario.fp_counter r.fp in
+            let account = Scenario.fp_account r.fp in
             Table.add_row overhead
               [
                 label kind;
-                string_of_int (Counter.get c "smp.ipi");
-                string_of_int (Counter.get c "smp.shootdown");
-                string_of_int (Counter.get c "smp.shootdown.acks");
+                string_of_int (counter "smp.ipi");
+                string_of_int (counter "smp.shootdown");
+                string_of_int (counter "smp.shootdown.acks");
                 string_of_int r.contended;
                 Int64.to_string r.spin;
-                Int64.to_string (Accounts.balance a "smp.ipi");
-                Int64.to_string (Accounts.balance a "smp.shootdown");
+                Int64.to_string (account "smp.ipi");
+                Int64.to_string (account "smp.shootdown");
               ])
           top;
         (* --- per-CPU account breakdown for the bottleneck config --- *)
         let dom0_run = List.assoc Vmm_dom0 top in
-        let acc = dom0_run.mach.Machine.accounts in
-        let ncpu = Machine.ncpus dom0_run.mach in
+        let fp = dom0_run.fp in
+        let ncpu = List.length fp.Scenario.f_cpu_accounts in
         let breakdown =
           Table.create
             ~header:
@@ -139,30 +164,22 @@ let experiment =
           "dom0"
           :: List.filter
                (fun n -> String.length n >= 4 && String.sub n 0 4 = "smp.")
-               (List.map fst (Accounts.to_list acc))
+               (List.map fst fp.Scenario.f_accounts)
         in
         List.iter
           (fun name ->
             Table.add_row breakdown
               (name
-              :: Int64.to_string (Accounts.balance acc name)
-              :: List.init ncpu (fun i ->
-                     Int64.to_string (Accounts.cpu_balance acc ~cpu:i name))))
+              :: Int64.to_string (Scenario.fp_account fp name)
+              :: List.init ncpu (fun cpu ->
+                     Int64.to_string (Scenario.fp_account ~cpu fp name))))
           accounts_of_interest;
         (* --- verdicts --- *)
         let plateau_ratio = tput ~cores:max_cores ~kind:Vmm_dom0 /. tput ~cores:4 ~kind:Vmm_dom0 in
         let scale8 kind = tput ~cores:max_cores ~kind /. tput ~cores:1 ~kind in
         let scale84 kind = tput ~cores:max_cores ~kind /. tput ~cores:4 ~kind in
-        let rerun = run_case ~kind:Vmm_dom0 ~cores:max_cores ~packets in
-        let fingerprint r =
-          ( r.wall,
-            r.completed,
-            Counter.to_list r.mach.Machine.counters,
-            Accounts.to_list r.mach.Machine.accounts,
-            List.init (Machine.ncpus r.mach) (fun i ->
-                Accounts.to_cpu_list r.mach.Machine.accounts ~cpu:i) )
-        in
-        let deterministic = fingerprint dom0_run = fingerprint rerun in
+        let rerun = run_case ~kind:Vmm_dom0 ~cores:max_cores ~packets () in
+        let deterministic = dom0_run.fp = rerun.fp in
         let verdicts =
           [
             Experiment.verdict

@@ -10,19 +10,45 @@
     disaggregated layouts scale, and same-seed reruns are bit-for-bit
     identical. *)
 
-type kind = Uk_colocated | Uk_pinned | Vmm_dom0 | Vmm_drivers
+type kind =
+  | Uk_colocated
+  | Uk_pinned
+  | Vmm_dom0
+  | Vmm_drivers
+  | Vmm_fleet of int
+      (** A fixed fleet of [n] driver domains spread over the cores
+          (E18's deployment shape). *)
+
+val label : kind -> string
 
 type run = {
   completed : int;
   wall : int64;
-  mach : Vmk_hw.Machine.t;
   contended : int;
   spin : int64;
+  fp : Scenario.fingerprint;
+      (** Counters and (per-CPU) accounts of the finished run; the run
+          keeps this record, not its machine. *)
 }
 
-val run_case : kind:kind -> cores:int -> packets:int -> run
-(** One configuration at one core count, fixed seed — exposed for the
-    tests and benches. *)
+val run_case :
+  ?seed:int64 -> ?coalesce:int -> kind:kind -> cores:int -> packets:int -> unit -> run
+(** The one SMP storm runner: one configuration at one core count
+    (seed default 14, E14's own). [coalesce] is E16's interrupt
+    mitigation factor (default 1, every packet interrupts). *)
+
+val irq_cycles : run -> int64
+(** Interrupt-entry cycles (the ["smp.irq"] account). *)
+
+val coalescing_storms :
+  seed:int64 -> packets:int -> (kind * (int * run) list) list
+(** The 8-core storm in the two scalable configurations ([Uk_colocated],
+    [Vmm_drivers]), each at coalescing factor 1 and 8 — how E16 and E17
+    check that interrupt mitigation composes with per-core placement. *)
+
+val composes : (int * run) list -> bool
+(** Coalescing 8 against 1: same packets completed, fewer IRQ-entry
+    cycles, wall time no worse. *)
 
 val throughput : run -> float
 (** Packets per million cycles of virtual wall time. *)

@@ -24,14 +24,7 @@ module Machine = Vmk_hw.Machine
 module Nic = Vmk_hw.Nic
 module Rng = Vmk_sim.Rng
 module Counter = Vmk_trace.Counter
-module Accounts = Vmk_trace.Accounts
 module Overload = Vmk_overload.Overload
-module Kernel = Vmk_ukernel.Kernel
-module Net_server = Vmk_ukernel.Net_server
-module Hypervisor = Vmk_vmm.Hypervisor
-module Net_channel = Vmk_vmm.Net_channel
-module Dom0 = Vmk_vmm.Dom0
-module Port_xen = Vmk_guest.Port_xen
 module Port_l4 = Vmk_guest.Port_l4
 module Traffic = Vmk_workloads.Traffic
 module Apps = Vmk_workloads.Apps
@@ -79,16 +72,9 @@ let period_of stack (n, d) =
 
 let count_of ~base (n, d) = base * n / d
 
-(* Everything a same-seed rerun must reproduce bit-for-bit. *)
-type fingerprint = {
-  f_wall : int64;
-  f_injected : int;
-  f_arrivals : (int * int64) list;
-  f_counters : (string * int) list;
-  f_accounts : (string * int64) list;
-}
+(* --- the single-guest receive probe (E15, E16) --- *)
 
-type run = {
+type 'a probe = {
   injected : int;
   received : int;
   timely : int;
@@ -96,15 +82,64 @@ type run = {
   goodput : float;  (** Timely packets per Mcycle of the offered window. *)
   p99 : float;  (** p99 delivery latency in cycles, over received packets. *)
   nic_drops : int;
-  drops : int;
-  sheds : int;
-  retries : int;
-  backoff_cycles : int;
-  queue_peak : int;
-  fp : fingerprint;
+  items : 'a;
+  fp : Scenario.fingerprint;
 }
 
-let summarize mach ~period ~count ~injected ~arrivals ~inject_times =
+type rig =
+  traffic:Scenario.traffic_spec -> app:(unit -> unit) -> Scenario.outcome
+
+(* Both structures in the naive overload configuration unless the caller
+   adds policy: the VMM runs Dom0 at double the guest's scheduler weight
+   (the backend path wins the CPU under load — the centralized-backend
+   livelock configuration), the microkernel net server queues without
+   bound. Neither has a blk channel, and the guest's 2M-cycle I/O
+   timeout ends the app once traffic stops arriving. *)
+let xen_rig ?net_admit ?net_napi ?net_poll ?mitigation ?deadline () : rig =
+ fun ~traffic ~app ->
+  Scenario.run_xen ~seed:41L ~blk:false ~dom0_weight:512
+    ~io_timeout:2_000_000L ?net_admit ?net_napi ?net_poll ?mitigation
+    ?deadline ~traffic ~app ()
+
+let l4_rig ?admit ?rx_capacity ?napi ?poll ?retry ?mitigation ?deadline () :
+    rig =
+ fun ~traffic ~app ->
+  Scenario.run_l4 ~seed:42L ~blk:false ?admit ?rx_capacity ?napi ?poll ?retry
+    ?mitigation ?deadline ~traffic ~app ()
+
+(* One run: a constant-rate source offers [count] packets, one per
+   [period] cycles, and the guest app records each arrival. The gate
+   latches open: once the stack is up, injection never pauses again, so
+   NIC-level drops after that point are wire loss and count against the
+   run. [items] itemizes the finished machine. *)
+let rx_probe ~period ~count ~items (rig : rig) =
+  let inject_times = Hashtbl.create 256 in
+  let arrivals = ref [] in
+  let wired = ref None in
+  let traffic mach ~gate =
+    let up = ref false in
+    let gate () =
+      if not !up then up := gate ();
+      !up
+    in
+    let source =
+      Traffic.constant_rate mach ~gate ~period ~len:packet_len ~count
+        ~on_inject:(fun ~tag ~at -> Hashtbl.replace inject_times tag at)
+        ()
+    in
+    wired := Some (mach, source);
+    source
+  in
+  let app () =
+    let mach, _ = Option.get !wired in
+    Apps.net_rx_probe
+      ~now:(fun () -> Machine.now mach)
+      ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
+      ~packets:count () ()
+  in
+  ignore (rig ~traffic ~app);
+  let mach, source = Option.get !wired in
+  let arrivals = !arrivals and injected = Traffic.injected source in
   let duration = Int64.mul period (Int64.of_int count) in
   let latencies =
     List.rev_map
@@ -120,170 +155,39 @@ let summarize mach ~period ~count ~injected ~arrivals ~inject_times =
   in
   let s = Summary.create () in
   List.iter (Summary.add_int64 s) latencies;
-  let c = mach.Machine.counters in
-  let nic_drops = Nic.rx_dropped mach.Machine.nic in
+  let received = List.length arrivals in
   {
     injected;
-    received = List.length arrivals;
+    received;
     timely;
     offered = float_of_int injected *. 1e6 /. Int64.to_float duration;
     goodput = float_of_int timely *. 1e6 /. Int64.to_float duration;
     p99 = Summary.percentile s 99.0;
-    nic_drops;
-    drops = Counter.get c Overload.drop_counter + nic_drops;
-    sheds = Counter.get c Overload.shed_counter;
-    retries = Counter.get c Overload.retry_counter;
-    backoff_cycles = Counter.get c Overload.backoff_counter;
-    queue_peak = Counter.sum_matching c ~prefix:Overload.queue_peak_prefix;
-    fp =
-      {
-        f_wall = Machine.now mach;
-        f_injected = injected;
-        f_arrivals = List.sort compare arrivals;
-        f_counters = Counter.to_list c;
-        f_accounts = Accounts.to_list mach.Machine.accounts;
-      };
+    nic_drops = Nic.rx_dropped mach.Machine.nic;
+    items = items mach ~received;
+    fp = Scenario.fingerprint mach ~packets:injected ~arrivals;
   }
-
-let admit_bucket stack =
-  Overload.Token_bucket.create ~period:(capacity_period stack)
-    ~burst:admit_burst ()
-
-(* The VMM stack: Dom0 runs at double the guest's scheduler weight (the
-   backend path wins the CPU under load — the centralized-backend
-   livelock configuration). Policied adds token-bucket shedding in
-   netback, ahead of the 900-cycle per-packet backend work. The guest's
-   2M-cycle I/O timeout ends the app once traffic stops arriving. *)
-let run_vmm ~mode ~period ~count =
-  let mach = Machine.create ~seed:41L () in
-  let h = Hypervisor.create mach in
-  let chan = Net_channel.create ~mode:Net_channel.Flip ~demux_key:1 () in
-  let net_admit =
-    match mode with Naive -> None | Policied -> Some (admit_bucket Vmm)
-  in
-  let dom0 =
-    Hypervisor.create_domain h ~name:Dom0.name ~privileged:true ~weight:512
-      (fun () -> Dom0.body mach ?net_admit ~net:[ chan ] ())
-  in
-  let ready = ref false in
-  let completed = ref false in
-  let inject_times = Hashtbl.create 256 in
-  let arrivals = ref [] in
-  let _guest =
-    Hypervisor.create_domain h ~name:"guest1"
-      (Port_xen.guest_body mach ~net:(chan, dom0) ~io_timeout:2_000_000L
-         ~on_ready:(fun () -> ready := true)
-         ~app:(fun () ->
-           Apps.net_rx_probe
-             ~now:(fun () -> Machine.now mach)
-             ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
-             ~packets:count () ();
-           completed := true))
-  in
-  let source =
-    Traffic.constant_rate mach
-      ~gate:(fun () -> !ready)
-      ~period ~len:packet_len ~count
-      ~on_inject:(fun ~tag ~at -> Hashtbl.replace inject_times tag at)
-      ()
-  in
-  ignore (Hypervisor.run h ~until:(fun () -> !completed));
-  ignore (Hypervisor.run h ~max_dispatches:100_000);
-  summarize mach ~period ~count ~injected:(Traffic.injected source)
-    ~arrivals:!arrivals ~inject_times
-
-(* The microkernel stack. Naive queues without bound in the net server
-   (latency blows up past saturation); policied sheds at the IRQ path,
-   bounds the receive queue (drop-oldest) and retries busy replies on
-   the seeded backoff schedule. Injection gates on the server having
-   posted its first receive buffers; NIC-level drops after that point
-   are wire loss and count against the run. *)
-let run_uk ~mode ~period ~count =
-  let mach = Machine.create ~seed:42L () in
-  let k = Kernel.create mach in
-  let admit, rx_capacity =
-    match mode with
-    | Naive -> (None, None)
-    | Policied -> (Some (admit_bucket Uk), Some rx_queue_cap)
-  in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ?admit ?rx_capacity ())
-  in
-  let retry =
-    match mode with
-    | Naive -> None
-    | Policied ->
-        Some
-          (Port_l4.retry ~mach ~attempts:4 ~timeout:1_000_000L
-             (Rng.split mach.Machine.rng))
-  in
-  let gk =
-    Kernel.spawn k ~name:"guest-kernel" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ?retry ~net:(Some net_tid) ~blk:None)
-  in
-  let completed = ref false in
-  let inject_times = Hashtbl.create 256 in
-  let arrivals = ref [] in
-  let _app =
-    Kernel.spawn k ~name:"app" ~priority:4 ~account:"app"
-      (Port_l4.app_body mach ~gk (fun () ->
-           Apps.net_rx_probe
-             ~now:(fun () -> Machine.now mach)
-             ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
-             ~packets:count () ();
-           completed := true))
-  in
-  let up = ref false in
-  let gate () =
-    if !up then true
-    else if Nic.rx_buffers_posted mach.Machine.nic > 0 then begin
-      up := true;
-      true
-    end
-    else false
-  in
-  let source =
-    Traffic.constant_rate mach ~gate ~period ~len:packet_len ~count
-      ~on_inject:(fun ~tag ~at -> Hashtbl.replace inject_times tag at)
-      ()
-  in
-  ignore (Kernel.run k ~until:(fun () -> !completed));
-  ignore (Kernel.run k ~max_dispatches:100_000);
-  summarize mach ~period ~count ~injected:(Traffic.injected source)
-    ~arrivals:!arrivals ~inject_times
-
-let run_one stack mode ~base m =
-  let period = period_of stack m and count = count_of ~base m in
-  match stack with
-  | Vmm -> run_vmm ~mode ~period ~count
-  | Uk -> run_uk ~mode ~period ~count
 
 (* Delivery efficiency: what fraction of what was actually offered
    arrived in time. *)
 let efficiency r =
   if r.injected = 0 then 0.0 else float_of_int r.timely /. float_of_int r.injected
 
-(* The capacity sweep above is in multiples of each stack's own
-   provisioned capacity, so the knees it finds are not comparable
-   between structures. The knee probe drives the two NAIVE stacks at a
-   common ladder of absolute rates spanning the gap the coarse sweep
-   leaves between "fine at 4x" and "collapsed at 8x", and the knee is
-   the first rung where timely efficiency falls below 0.9. *)
+(* The capacity sweep is in multiples of each stack's own provisioned
+   capacity, so the knees it finds are not comparable between
+   structures. The knee probe drives the stacks at a common ladder of
+   absolute rates spanning the gap the coarse sweep leaves between
+   "fine at 4x" and "collapsed at 8x", and the knee is the first rung
+   where timely efficiency falls below 0.9. *)
 let probe_periods = [ 15_000L; 12_500L; 10_000L; 8_750L; 7_500L ]
 
-let probe_runs stack ~base =
+let probe_runs ?(periods = probe_periods) ~base run =
   let window = Int64.mul 30_000L (Int64.of_int base) in
   List.map
     (fun period ->
       let count = Int64.to_int (Int64.div window period) in
-      let r =
-        match stack with
-        | Vmm -> run_vmm ~mode:Naive ~period ~count
-        | Uk -> run_uk ~mode:Naive ~period ~count
-      in
-      (period, r))
-    probe_periods
+      (period, run ~period ~count))
+    periods
 
 let knee runs =
   let rec find = function
@@ -291,6 +195,55 @@ let knee runs =
     | (_, r) :: rest -> if efficiency r < 0.9 then r.offered else find rest
   in
   find runs
+
+(* --- E15's configurations --- *)
+
+type items = {
+  drops : int;
+  sheds : int;
+  retries : int;
+  backoff_cycles : int;
+  queue_peak : int;
+}
+
+type run = items probe
+
+let overload_items mach ~received:_ =
+  let c = mach.Machine.counters in
+  {
+    drops = Counter.get c Overload.drop_counter + Nic.rx_dropped mach.Machine.nic;
+    sheds = Counter.get c Overload.shed_counter;
+    retries = Counter.get c Overload.retry_counter;
+    backoff_cycles = Counter.get c Overload.backoff_counter;
+    queue_peak = Counter.sum_matching c ~prefix:Overload.queue_peak_prefix;
+  }
+
+let admit_bucket stack =
+  Overload.Token_bucket.create ~period:(capacity_period stack)
+    ~burst:admit_burst ()
+
+(* Policied adds token-bucket shedding at the backend/server IRQ path
+   (ahead of the expensive per-packet work); on the microkernel also a
+   bounded drop-oldest receive queue and busy replies retried on the
+   seeded backoff schedule. *)
+let run_mode stack mode ~period ~count : run =
+  rx_probe ~period ~count ~items:overload_items
+    (match (stack, mode) with
+    | Vmm, Naive -> xen_rig ()
+    | Vmm, Policied -> xen_rig ~net_admit:(admit_bucket Vmm) ()
+    | Uk, Naive -> l4_rig ()
+    | Uk, Policied ->
+        l4_rig ~admit:(admit_bucket Uk) ~rx_capacity:rx_queue_cap
+          ~retry:(fun mach ->
+            Port_l4.retry ~mach ~attempts:4 ~timeout:1_000_000L
+              (Rng.split mach.Machine.rng))
+          ())
+
+let run_one stack mode ~base m =
+  run_mode stack mode ~period:(period_of stack m) ~count:(count_of ~base m)
+
+let fp r = r.fp
+let received r = r.received
 
 let peak_goodput curve =
   List.fold_left (fun acc (_, r) -> Float.max acc r.goodput) 0.0 curve
@@ -385,11 +338,11 @@ let experiment =
                     string_of_int r.received;
                     string_of_int r.timely;
                     string_of_int r.nic_drops;
-                    string_of_int r.drops;
-                    string_of_int r.sheds;
-                    string_of_int r.retries;
-                    string_of_int r.backoff_cycles;
-                    string_of_int r.queue_peak;
+                    string_of_int r.items.drops;
+                    string_of_int r.items.sheds;
+                    string_of_int r.items.retries;
+                    string_of_int r.items.backoff_cycles;
+                    string_of_int r.items.queue_peak;
                   ])
               modes)
           stacks;
@@ -406,8 +359,8 @@ let experiment =
           r.goodput >= 0.8 *. peak_goodput c
           && r.p99 <= Int64.to_float latency_budget
         in
-        let vmm_probe = probe_runs Vmm ~base in
-        let uk_probe = probe_runs Uk ~base in
+        let vmm_probe = probe_runs ~base (run_mode Vmm Naive) in
+        let uk_probe = probe_runs ~base (run_mode Uk Naive) in
         let vmm_knee = knee vmm_probe in
         let uk_knee = knee uk_probe in
         let probe_table =

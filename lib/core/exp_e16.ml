@@ -22,30 +22,19 @@
    per-core placement). *)
 
 module Table = Vmk_stats.Table
-module Summary = Vmk_stats.Summary
 module Machine = Vmk_hw.Machine
-module Nic = Vmk_hw.Nic
 module Counter = Vmk_trace.Counter
 module Accounts = Vmk_trace.Accounts
 module Overload = Vmk_overload.Overload
-module Kernel = Vmk_ukernel.Kernel
 module Net_server = Vmk_ukernel.Net_server
-module Cluster = Vmk_ukernel.Smp_cluster
-module Hypervisor = Vmk_vmm.Hypervisor
-module Net_channel = Vmk_vmm.Net_channel
 module Dom0 = Vmk_vmm.Dom0
-module Svmm = Vmk_vmm.Smp_vmm
-module Port_xen = Vmk_guest.Port_xen
-module Port_l4 = Vmk_guest.Port_l4
-module Traffic = Vmk_workloads.Traffic
-module Apps = Vmk_workloads.Apps
+module E15 = Exp_e15
 
-type stack = Vmm | Uk
+type stack = E15.stack = Vmm | Uk
 type mode = Interrupt | Polling | Hybrid
 
 let stacks = [ Vmm; Uk ]
 let modes = [ Interrupt; Polling; Hybrid ]
-let stack_label = function Vmm -> "vmm" | Uk -> "uk"
 
 let mode_label = function
   | Interrupt -> "irq"
@@ -53,84 +42,33 @@ let mode_label = function
   | Hybrid -> "hybrid"
 
 let config_label stack mode =
-  Printf.sprintf "%s/%s" (stack_label stack) (mode_label mode)
+  Printf.sprintf "%s/%s" (E15.stack_label stack) (mode_label mode)
 
-(* Same provisioning as E15: 1x capacity = one packet per
-   [capacity_period] cycles, per structure (the VMM's per-packet path
-   costs roughly double the microkernel's, E3). *)
-let capacity_period = function Vmm -> 60_000L | Uk -> 30_000L
+(* Same provisioning as E15. Mitigation hold-off window (hybrid) and
+   poll timer period (polling-only): one capacity period, so at <=1x
+   load the window has always expired by the next packet (no added
+   latency) while at 4x and beyond several completions coalesce under
+   one interrupt. *)
+let window = E15.capacity_period
 
-(* Mitigation hold-off window (hybrid) and poll timer period
-   (polling-only): one capacity period, so at <=1x load the window has
-   always expired by the next packet (no added latency) while at 4x and
-   beyond several completions coalesce under one interrupt. *)
-let window = capacity_period
-
-let packet_len = 512
-let latency_budget = 1_000_000L
 let poll_budget = 16
+let mults = List.tl E15.mults
 
-let mults = [ (1, 2); (1, 1); (2, 1); (4, 1); (8, 1) ]
-let mult_value (n, d) = float_of_int n /. float_of_int d
-
-let mult_label (n, d) =
-  if d = 1 then Printf.sprintf "%dx" n else Printf.sprintf "%.2fx" (mult_value (n, d))
-
-let period_of stack (n, d) =
-  Int64.div
-    (Int64.mul (capacity_period stack) (Int64.of_int d))
-    (Int64.of_int n)
-
-let count_of ~base (n, d) = base * n / d
-
-(* Everything a same-seed rerun must reproduce bit-for-bit — the
-   counters include every [mitig.*] entry (coalesced IRQs, poll rounds,
-   batch histogram, re-enables). *)
-type fingerprint = {
-  f_wall : int64;
-  f_injected : int;
-  f_arrivals : (int * int64) list;
-  f_counters : (string * int) list;
-  f_accounts : (string * int64) list;
-}
-
-type run = {
-  injected : int;
-  received : int;
-  timely : int;
-  offered : float;  (** Injected packets per Mcycle of the offered window. *)
-  goodput : float;  (** Timely packets per Mcycle of the offered window. *)
-  p99 : float;  (** p99 delivery latency in cycles, over received packets. *)
+type items = {
   cyc_pkt : float;  (** Driver-path cycles per received packet. *)
   coalesced : int;  (** IRQs absorbed by an open hold-off window. *)
   poll_rounds : int;
   reenables : int;
-  nic_drops : int;
-  fp : fingerprint;
 }
 
-let summarize stack mach ~period ~count ~injected ~arrivals ~inject_times =
-  let duration = Int64.mul period (Int64.of_int count) in
-  let latencies =
-    List.rev_map
-      (fun (tag, at) ->
-        match Hashtbl.find_opt inject_times tag with
-        | Some t0 -> Int64.sub at t0
-        | None -> Int64.max_int)
-      arrivals
-  in
-  let timely =
-    List.length
-      (List.filter (fun l -> Int64.compare l latency_budget <= 0) latencies)
-  in
-  let s = Summary.create () in
-  List.iter (Summary.add_int64 s) latencies;
+type run = items E15.probe
+
+(* Driver-path cost: the backend domain plus the kernel that carries its
+   interrupts and notifications. Guest-side work is identical across
+   modes and excluded. *)
+let mitig_items stack mach ~received =
   let c = mach.Machine.counters in
   let a = mach.Machine.accounts in
-  let received = List.length arrivals in
-  (* Driver-path cost: the backend domain plus the kernel that carries
-     its interrupts and notifications. Guest-side work is identical
-     across modes and excluded. *)
   let driver_cycles =
     match stack with
     | Vmm -> Int64.add (Accounts.balance a Dom0.name) (Accounts.balance a "vmm")
@@ -140,27 +78,12 @@ let summarize stack mach ~period ~count ~injected ~arrivals ~inject_times =
           (Accounts.balance a "ukernel")
   in
   {
-    injected;
-    received;
-    timely;
-    offered = float_of_int injected *. 1e6 /. Int64.to_float duration;
-    goodput = float_of_int timely *. 1e6 /. Int64.to_float duration;
-    p99 = Summary.percentile s 99.0;
     cyc_pkt =
       (if received = 0 then 0.0
        else Int64.to_float driver_cycles /. float_of_int received);
     coalesced = Counter.get c Overload.mitig_coalesced_counter;
     poll_rounds = Counter.get c Overload.mitig_poll_rounds_counter;
     reenables = Counter.get c Overload.mitig_reenable_counter;
-    nic_drops = Nic.rx_dropped mach.Machine.nic;
-    fp =
-      {
-        f_wall = Machine.now mach;
-        f_injected = injected;
-        f_arrivals = List.sort compare arrivals;
-        f_counters = Counter.to_list c;
-        f_accounts = Accounts.to_list mach.Machine.accounts;
-      };
   }
 
 (* Polling-only runs never drain the event engine (the poll timer
@@ -170,193 +93,38 @@ let summarize stack mach ~period ~count ~injected ~arrivals ~inject_times =
 let poll_deadline ~period ~count =
   Int64.add (Int64.mul period (Int64.of_int count)) 6_000_000L
 
-(* The VMM stack, always in E15's naive overload configuration (boosted
-   Dom0 weight, no admission control) so the only variable is the
-   delivery discipline. *)
-let run_vmm ~mode ~period ~count =
-  let mach = Machine.create ~seed:41L () in
-  (match mode with
-  | Hybrid -> Nic.set_mitigation mach.Machine.nic (window Vmm)
-  | Interrupt | Polling -> ());
-  let h = Hypervisor.create mach in
-  let chan = Net_channel.create ~mode:Net_channel.Flip ~demux_key:1 () in
-  let net_napi = match mode with Hybrid -> Some poll_budget | _ -> None in
-  let net_poll = match mode with Polling -> Some (window Vmm) | _ -> None in
-  let dom0 =
-    Hypervisor.create_domain h ~name:Dom0.name ~privileged:true ~weight:512
-      (fun () -> Dom0.body mach ?net_napi ?net_poll ~net:[ chan ] ())
-  in
-  let ready = ref false in
-  let completed = ref false in
-  let inject_times = Hashtbl.create 256 in
-  let arrivals = ref [] in
-  let _guest =
-    Hypervisor.create_domain h ~name:"guest1"
-      (Port_xen.guest_body mach ~net:(chan, dom0) ~io_timeout:2_000_000L
-         ~on_ready:(fun () -> ready := true)
-         ~app:(fun () ->
-           Apps.net_rx_probe
-             ~now:(fun () -> Machine.now mach)
-             ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
-             ~packets:count () ();
-           completed := true))
-  in
-  let source =
-    Traffic.constant_rate mach
-      ~gate:(fun () -> !ready)
-      ~period ~len:packet_len ~count
-      ~on_inject:(fun ~tag ~at -> Hashtbl.replace inject_times tag at)
-      ()
-  in
-  (match mode with
-  | Polling ->
-      let deadline = poll_deadline ~period ~count in
-      ignore
-        (Hypervisor.run h ~until:(fun () ->
-             !completed || Int64.compare (Machine.now mach) deadline >= 0))
-  | Interrupt | Hybrid ->
-      ignore (Hypervisor.run h ~until:(fun () -> !completed));
-      ignore (Hypervisor.run h ~max_dispatches:100_000));
-  summarize Vmm mach ~period ~count ~injected:(Traffic.injected source)
-    ~arrivals:!arrivals ~inject_times
-
-(* The microkernel stack, likewise naive (unbounded server queue, no
-   admission): only the delivery discipline changes. *)
-let run_uk ~mode ~period ~count =
-  let mach = Machine.create ~seed:42L () in
-  (match mode with
-  | Hybrid -> Nic.set_mitigation mach.Machine.nic (window Uk)
-  | Interrupt | Polling -> ());
-  let k = Kernel.create mach in
+(* Both structures stay in E15's naive overload configuration (boosted
+   Dom0 weight / unbounded server queue, no admission control) so the
+   only variable is the delivery discipline. *)
+let run_mode stack mode ~period ~count : run =
+  let mitigation = match mode with Hybrid -> Some (window stack) | _ -> None in
   let napi = match mode with Hybrid -> Some poll_budget | _ -> None in
-  let poll = match mode with Polling -> Some (window Uk) | _ -> None in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ?napi ?poll ())
+  let poll = match mode with Polling -> Some (window stack) | _ -> None in
+  let deadline =
+    match mode with Polling -> Some (poll_deadline ~period ~count) | _ -> None
   in
-  let gk =
-    Kernel.spawn k ~name:"guest-kernel" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ~net:(Some net_tid) ~blk:None)
-  in
-  let completed = ref false in
-  let inject_times = Hashtbl.create 256 in
-  let arrivals = ref [] in
-  let _app =
-    Kernel.spawn k ~name:"app" ~priority:4 ~account:"app"
-      (Port_l4.app_body mach ~gk (fun () ->
-           Apps.net_rx_probe
-             ~now:(fun () -> Machine.now mach)
-             ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
-             ~packets:count () ();
-           completed := true))
-  in
-  let up = ref false in
-  let gate () =
-    if !up then true
-    else if Nic.rx_buffers_posted mach.Machine.nic > 0 then begin
-      up := true;
-      true
-    end
-    else false
-  in
-  let source =
-    Traffic.constant_rate mach ~gate ~period ~len:packet_len ~count
-      ~on_inject:(fun ~tag ~at -> Hashtbl.replace inject_times tag at)
-      ()
-  in
-  (match mode with
-  | Polling ->
-      let deadline = poll_deadline ~period ~count in
-      ignore
-        (Kernel.run k ~until:(fun () ->
-             !completed || Int64.compare (Machine.now mach) deadline >= 0))
-  | Interrupt | Hybrid ->
-      ignore (Kernel.run k ~until:(fun () -> !completed));
-      ignore (Kernel.run k ~max_dispatches:100_000));
-  summarize Uk mach ~period ~count ~injected:(Traffic.injected source)
-    ~arrivals:!arrivals ~inject_times
+  E15.rx_probe ~period ~count ~items:(mitig_items stack)
+    (match stack with
+    | Vmm ->
+        E15.xen_rig ?net_napi:napi ?net_poll:poll ?mitigation ?deadline ()
+    | Uk -> E15.l4_rig ?napi ?poll ?mitigation ?deadline ())
 
 let run_one stack mode ~base m =
-  let period = period_of stack m and count = count_of ~base m in
-  match stack with
-  | Vmm -> run_vmm ~mode ~period ~count
-  | Uk -> run_uk ~mode ~period ~count
+  run_mode stack mode ~period:(E15.period_of stack m)
+    ~count:(E15.count_of ~base m)
 
-let fp r = r.fp
-let received r = r.received
+let fp (r : run) = r.fp
+let received (r : run) = r.received
 
-let efficiency r =
-  if r.injected = 0 then 0.0 else float_of_int r.timely /. float_of_int r.injected
-
-(* E15's knee probe, extended two rungs deeper and run interrupt vs
-   hybrid: common absolute rates, knee = first rung where timely
-   efficiency drops below 0.9. Mitigation should move both knees
-   right. *)
+(* E15's knee probe, extended four rungs deeper and run interrupt vs
+   hybrid: mitigation should move both knees right. *)
 let probe_periods =
-  [ 15_000L; 12_500L; 10_000L; 8_750L; 7_500L; 7_000L; 6_500L; 6_250L; 5_000L ]
-
-let probe_runs stack mode ~base =
-  let window = Int64.mul 30_000L (Int64.of_int base) in
-  List.map
-    (fun period ->
-      let count = Int64.to_int (Int64.div window period) in
-      let r =
-        match stack with
-        | Vmm -> run_vmm ~mode ~period ~count
-        | Uk -> run_uk ~mode ~period ~count
-      in
-      (period, r))
-    probe_periods
-
-let knee runs =
-  let rec find = function
-    | [] -> infinity
-    | (_, r) :: rest -> if efficiency r < 0.9 then r.offered else find rest
-  in
-  find runs
+  E15.probe_periods @ [ 7_000L; 6_500L; 6_250L; 5_000L ]
 
 (* E14's 8-core storm with the coalescing factor: every [coalesce]-th
    packet pays the full IRQ entry, the rest land under the open hold-off
    window at poll cost. *)
-type storm = { s_completed : int; s_wall : int64; s_irq_cycles : int64 }
-
 let storm_seed = 16L
-
-let run_storm kind ~packets ~coalesce =
-  match kind with
-  | Uk ->
-      let cfg =
-        {
-          (Cluster.default ~placement:Cluster.Colocated ~cores:8 ()) with
-          Cluster.packets;
-          coalesce;
-        }
-      in
-      let r = Cluster.run ~seed:storm_seed cfg in
-      {
-        s_completed = r.Cluster.completed;
-        s_wall = r.Cluster.wall;
-        s_irq_cycles =
-          Accounts.balance r.Cluster.mach.Machine.accounts "smp.irq";
-      }
-  | Vmm ->
-      let cfg =
-        {
-          (Svmm.default ~backend:Svmm.Driver_domains ~cores:8 ()) with
-          Svmm.packets;
-          coalesce;
-        }
-      in
-      let r = Svmm.run ~seed:storm_seed cfg in
-      {
-        s_completed = r.Svmm.completed;
-        s_wall = r.Svmm.wall;
-        s_irq_cycles = Accounts.balance r.Svmm.mach.Machine.accounts "smp.irq";
-      }
-
-let storm_label = function
-  | Uk -> "uk/colocated"
-  | Vmm -> "vmm/driver-domains"
 
 let experiment =
   {
@@ -412,11 +180,11 @@ let experiment =
               let h = get stack Hybrid m in
               Table.add_row t
                 [
-                  mult_label m;
+                  E15.mult_label m;
                   Table.cellf "%.1f" i.offered;
-                  Table.cellf "%.0f" i.cyc_pkt;
-                  Table.cellf "%.0f" p.cyc_pkt;
-                  Table.cellf "%.0f" h.cyc_pkt;
+                  Table.cellf "%.0f" i.items.cyc_pkt;
+                  Table.cellf "%.0f" p.items.cyc_pkt;
+                  Table.cellf "%.0f" h.items.cyc_pkt;
                   Table.cellf "%.1f" i.goodput;
                   Table.cellf "%.1f" p.goodput;
                   Table.cellf "%.1f" h.goodput;
@@ -447,8 +215,8 @@ let experiment =
               (fun mode ->
                 let r = get stack mode top in
                 let avg_batch =
-                  if r.poll_rounds = 0 then 0.0
-                  else float_of_int r.received /. float_of_int r.poll_rounds
+                  if r.items.poll_rounds = 0 then 0.0
+                  else float_of_int r.received /. float_of_int r.items.poll_rounds
                 in
                 Table.add_row itemized
                   [
@@ -456,10 +224,10 @@ let experiment =
                     string_of_int r.injected;
                     string_of_int r.received;
                     string_of_int r.timely;
-                    string_of_int r.coalesced;
-                    string_of_int r.poll_rounds;
+                    string_of_int r.items.coalesced;
+                    string_of_int r.items.poll_rounds;
                     Table.cellf "%.1f" avg_batch;
-                    string_of_int r.reenables;
+                    string_of_int r.items.reenables;
                     string_of_int r.nic_drops;
                   ])
               modes)
@@ -469,12 +237,12 @@ let experiment =
           List.map
             (fun stack ->
               ( stack,
-                List.map (fun mode -> (mode, probe_runs stack mode ~base))
+                List.map (fun mode -> (mode, E15.probe_runs ~periods:probe_periods ~base (run_mode stack mode)))
                   [ Interrupt; Hybrid ] ))
             stacks
         in
         let probe stack mode = List.assoc mode (List.assoc stack probes) in
-        let knee_of stack mode = knee (probe stack mode) in
+        let knee_of stack mode = E15.knee (probe stack mode) in
         let probe_table =
           let t =
             Table.create
@@ -488,17 +256,17 @@ let experiment =
                 ]
           in
           List.iteri
-            (fun i (_, vi) ->
+            (fun i (_, (vi : run)) ->
               let vh = snd (List.nth (probe Vmm Hybrid) i) in
               let ui = snd (List.nth (probe Uk Interrupt) i) in
               let uh = snd (List.nth (probe Uk Hybrid) i) in
               Table.add_row t
                 [
                   Table.cellf "%.0f" vi.offered;
-                  Table.cellf "%.2f" (efficiency vi);
-                  Table.cellf "%.2f" (efficiency vh);
-                  Table.cellf "%.2f" (efficiency ui);
-                  Table.cellf "%.2f" (efficiency uh);
+                  Table.cellf "%.2f" (E15.efficiency vi);
+                  Table.cellf "%.2f" (E15.efficiency vh);
+                  Table.cellf "%.2f" (E15.efficiency ui);
+                  Table.cellf "%.2f" (E15.efficiency uh);
                 ])
             (probe Vmm Interrupt);
           t
@@ -506,14 +274,7 @@ let experiment =
         (* --- E14 composition --- *)
         let storm_packets = if quick then 240 else 640 in
         let storms =
-          List.map
-            (fun kind ->
-              ( kind,
-                List.map
-                  (fun coalesce ->
-                    (coalesce, run_storm kind ~packets:storm_packets ~coalesce))
-                  [ 1; 8 ] ))
-            [ Uk; Vmm ]
+          Exp_e14.coalescing_storms ~seed:storm_seed ~packets:storm_packets
         in
         let storm_table =
           let t =
@@ -534,24 +295,30 @@ let experiment =
                 (fun (coalesce, s) ->
                   Table.add_row t
                     [
-                      storm_label kind;
+                      Exp_e14.label kind;
                       string_of_int coalesce;
-                      string_of_int s.s_completed;
-                      Table.cellf "%.0f" (Int64.to_float s.s_wall /. 1e3);
-                      Table.cellf "%.0f" (Int64.to_float s.s_irq_cycles /. 1e3);
-                      Table.cellf "%.1f"
-                        (float_of_int s.s_completed
-                        *. 1e6
-                        /. Int64.to_float s.s_wall);
+                      string_of_int s.Exp_e14.completed;
+                      Table.cellf "%.0f" (Int64.to_float s.Exp_e14.wall /. 1e3);
+                      Table.cellf "%.0f"
+                        (Int64.to_float (Exp_e14.irq_cycles s) /. 1e3);
+                      Table.cellf "%.1f" (Exp_e14.throughput s);
                     ])
                 runs)
             storms;
           t
         in
-        let storm_get kind coalesce = List.assoc coalesce (List.assoc kind storms) in
+        let storm_get kind coalesce =
+          List.assoc coalesce (List.assoc kind storms)
+        in
+        let storm_irq kind c =
+          Int64.to_float (Exp_e14.irq_cycles (storm_get kind c)) /. 1e3
+        in
+        let storm_wall kind c =
+          Int64.to_float (storm_get kind c).Exp_e14.wall /. 1e3
+        in
         (* --- verdicts --- *)
         let cheaper_at m stack =
-          (get stack Hybrid m).cyc_pkt < (get stack Interrupt m).cyc_pkt
+          (get stack Hybrid m).items.cyc_pkt < (get stack Interrupt m).items.cyc_pkt
         in
         let cures stack =
           (get stack Hybrid top).goodput > (get stack Interrupt top).goodput
@@ -563,12 +330,7 @@ let experiment =
         let knees_right stack =
           knee_of stack Hybrid > knee_of stack Interrupt
         in
-        let composes kind =
-          let c1 = storm_get kind 1 and c8 = storm_get kind 8 in
-          c8.s_completed = c1.s_completed
-          && Int64.compare c8.s_irq_cycles c1.s_irq_cycles < 0
-          && Int64.compare c8.s_wall c1.s_wall <= 0
-        in
+        let composes kind = Exp_e14.composes (List.assoc kind storms) in
         let rerun_vmm = run_one Vmm Hybrid ~base top in
         let rerun_uk = run_one Uk Hybrid ~base top in
         let deterministic =
@@ -589,10 +351,10 @@ let experiment =
               ~measured:
                 (Printf.sprintf
                    "8x: vmm %.0f vs %.0f, uk %.0f vs %.0f cyc/pkt"
-                   (get Vmm Hybrid top).cyc_pkt
-                   (get Vmm Interrupt top).cyc_pkt
-                   (get Uk Hybrid top).cyc_pkt
-                   (get Uk Interrupt top).cyc_pkt)
+                   (get Vmm Hybrid top).items.cyc_pkt
+                   (get Vmm Interrupt top).items.cyc_pkt
+                   (get Uk Hybrid top).items.cyc_pkt
+                   (get Uk Interrupt top).items.cyc_pkt)
               (cheaper_at mult4 Vmm && cheaper_at mult4 Uk
               && cheaper_at top Vmm && cheaper_at top Uk);
             Experiment.verdict
@@ -640,15 +402,11 @@ let experiment =
                 (Printf.sprintf
                    "uk irq kcyc %.0f -> %.0f (wall %.0fk -> %.0fk); vmm %.0f \
                     -> %.0f (wall %.0fk -> %.0fk)"
-                   (Int64.to_float (storm_get Uk 1).s_irq_cycles /. 1e3)
-                   (Int64.to_float (storm_get Uk 8).s_irq_cycles /. 1e3)
-                   (Int64.to_float (storm_get Uk 1).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Uk 8).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Vmm 1).s_irq_cycles /. 1e3)
-                   (Int64.to_float (storm_get Vmm 8).s_irq_cycles /. 1e3)
-                   (Int64.to_float (storm_get Vmm 1).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Vmm 8).s_wall /. 1e3))
-              (composes Uk && composes Vmm);
+                   (storm_irq Exp_e14.Uk_colocated 1) (storm_irq Exp_e14.Uk_colocated 8)
+                   (storm_wall Exp_e14.Uk_colocated 1) (storm_wall Exp_e14.Uk_colocated 8)
+                   (storm_irq Exp_e14.Vmm_drivers 1) (storm_irq Exp_e14.Vmm_drivers 8)
+                   (storm_wall Exp_e14.Vmm_drivers 1) (storm_wall Exp_e14.Vmm_drivers 8))
+              (composes Exp_e14.Uk_colocated && composes Exp_e14.Vmm_drivers);
             Experiment.verdict ~claim:"Mitigated runs stay deterministic"
               ~expected:
                 "same-seed hybrid rerun at 8x: identical arrivals, accounts \
@@ -663,7 +421,7 @@ let experiment =
             [
               ("VMM: delivery modes under offered load", sweep Vmm);
               ("Microkernel: delivery modes under offered load", sweep Uk);
-              ( Printf.sprintf "Mitigation itemization at %s" (mult_label top),
+              ( Printf.sprintf "Mitigation itemization at %s" (E15.mult_label top),
                 itemized );
               ("Knee probe: interrupt vs hybrid (absolute rates)", probe_table);
               ("E14 composition: 8-core storm with coalescing", storm_table);

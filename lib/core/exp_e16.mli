@@ -10,18 +10,13 @@ val experiment : Experiment.t
     The replay test drives single runs directly and compares their
     fingerprints bit-for-bit. *)
 
-type stack = Vmm | Uk
+type stack = Exp_e15.stack = Vmm | Uk
 type mode = Interrupt | Polling | Hybrid
-
-type fingerprint
-(** Wall time, arrivals, counters and accounts of one run; structural
-    equality is bit-for-bit reproducibility. *)
-
 type run
 
 val run_one : stack -> mode -> base:int -> int * int -> run
 (** One run at offered-load multiplier [num, den] of the stack's
     capacity, injecting [base * num / den] packets. *)
 
-val fp : run -> fingerprint
+val fp : run -> Scenario.fingerprint
 val received : run -> int

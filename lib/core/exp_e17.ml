@@ -35,11 +35,9 @@ module Overload = Vmk_overload.Overload
 module Vnet = Vmk_vnet.Vnet
 module Kernel = Vmk_ukernel.Kernel
 module Net_server = Vmk_ukernel.Net_server
-module Cluster = Vmk_ukernel.Smp_cluster
 module Hypervisor = Vmk_vmm.Hypervisor
 module Net_channel = Vmk_vmm.Net_channel
 module Bridge = Vmk_vmm.Bridge
-module Svmm = Vmk_vmm.Smp_vmm
 module Port_xen = Vmk_guest.Port_xen
 module Port_l4 = Vmk_guest.Port_l4
 module Sys = Vmk_guest.Sys
@@ -53,17 +51,6 @@ let sender_pace = 8_000
 let io_timeout = 20_000_000L
 let settle = 50_000
 
-(* Everything a same-seed rerun must reproduce bit-for-bit: the
-   arrival stream plus every counter (vnet, overload, l4 namespaces)
-   and cycle account the fabric touched. *)
-type fingerprint = {
-  f_wall : int64;
-  f_sent : int;
-  f_arrivals : (int * int64) list;
-  f_counters : (string * int) list;
-  f_accounts : (string * int64) list;
-}
-
 type run = {
   sent : int;
   received : int;
@@ -76,11 +63,12 @@ type run = {
   backoffs : int;
   vnet_drops : int;
   per_src : (int * int) list;  (** Delivered packets grouped by source. *)
-  fp : fingerprint;
+  fp : Scenario.fingerprint;
+      (** The arrival stream plus every counter (vnet, overload, l4
+          namespaces) and cycle account the fabric touched. *)
 }
 
-let counter_of r name =
-  Option.value ~default:0 (List.assoc_opt name r.fp.f_counters)
+let counter_of r name = Scenario.fp_counter r.fp name
 
 let per_src_of arrivals =
   let tbl = Hashtbl.create 8 in
@@ -142,14 +130,7 @@ let summarize stack mach ~sent ~arrivals =
     backoffs = Counter.get c Overload.ecn_backoff_counter;
     vnet_drops = Counter.get c "vnet.drop";
     per_src = per_src_of arrivals;
-    fp =
-      {
-        f_wall = Machine.now mach;
-        f_sent = sent;
-        f_arrivals = List.sort compare arrivals;
-        f_counters = Counter.to_list c;
-        f_accounts = Accounts.to_list a;
-      };
+    fp = Scenario.fingerprint mach ~packets:sent ~arrivals;
   }
 
 (* --- portable application bodies (identical on both stacks) --- *)
@@ -440,40 +421,7 @@ let flow_sweep ~caps ~rounds =
 (* E14 composition: the 8-core storm (colocated microkernel cluster,
    driver-domain VMM) with E16's coalescing factor — the fabric rides
    on the same placement substrate, which must keep composing. *)
-type storm = { s_completed : int; s_wall : int64; s_irq_cycles : int64 }
-
 let storm_seed = 17L
-
-let run_storm kind ~packets ~coalesce =
-  match kind with
-  | Uk ->
-      let cfg =
-        {
-          (Cluster.default ~placement:Cluster.Colocated ~cores:8 ()) with
-          Cluster.packets;
-          coalesce;
-        }
-      in
-      let r = Cluster.run ~seed:storm_seed cfg in
-      {
-        s_completed = r.Cluster.completed;
-        s_wall = r.Cluster.wall;
-        s_irq_cycles = Accounts.balance r.Cluster.mach.Machine.accounts "smp.irq";
-      }
-  | Vmm ->
-      let cfg =
-        {
-          (Svmm.default ~backend:Svmm.Driver_domains ~cores:8 ()) with
-          Svmm.packets;
-          coalesce;
-        }
-      in
-      let r = Svmm.run ~seed:storm_seed cfg in
-      {
-        s_completed = r.Svmm.completed;
-        s_wall = r.Svmm.wall;
-        s_irq_cycles = Accounts.balance r.Svmm.mach.Machine.accounts "smp.irq";
-      }
 
 (* --- the experiment --- *)
 
@@ -519,14 +467,7 @@ let experiment =
         in
         let storm_packets = if quick then 240 else 640 in
         let storms =
-          List.map
-            (fun kind ->
-              ( kind,
-                List.map
-                  (fun c ->
-                    (c, run_storm kind ~packets:storm_packets ~coalesce:c))
-                  [ 1; 8 ] ))
-            [ Uk; Vmm ]
+          Exp_e14.coalescing_storms ~seed:storm_seed ~packets:storm_packets
         in
         let rerun_vmm = pairwise ~stack:Vmm ~guests:8 ~count in
         let rerun_uk = pairwise ~stack:Uk ~guests:8 ~count in
@@ -677,13 +618,12 @@ let experiment =
                 (fun (c, s) ->
                   Table.add_row t
                     [
-                      (match kind with
-                      | Uk -> "uk/colocated"
-                      | Vmm -> "vmm/driver-domains");
+                      Exp_e14.label kind;
                       string_of_int c;
-                      string_of_int s.s_completed;
-                      Table.cellf "%.0f" (Int64.to_float s.s_wall /. 1e3);
-                      Table.cellf "%.0f" (Int64.to_float s.s_irq_cycles /. 1e3);
+                      string_of_int s.Exp_e14.completed;
+                      Table.cellf "%.0f" (Int64.to_float s.Exp_e14.wall /. 1e3);
+                      Table.cellf "%.0f"
+                        (Int64.to_float (Exp_e14.irq_cycles s) /. 1e3);
                     ])
                 runs)
             storms;
@@ -726,13 +666,11 @@ let experiment =
               on.marks > 0 && on.backoffs > 0 && on.vnet_drops <= off.vnet_drops)
             ecns
         in
-        let storm_get kind c = List.assoc c (List.assoc kind storms) in
-        let composes kind =
-          let c1 = storm_get kind 1 and c8 = storm_get kind 8 in
-          c8.s_completed = c1.s_completed
-          && Int64.compare c8.s_irq_cycles c1.s_irq_cycles < 0
-          && Int64.compare c8.s_wall c1.s_wall <= 0
+        let storm_wall kind c =
+          Int64.to_float (List.assoc c (List.assoc kind storms)).Exp_e14.wall
+          /. 1e3
         in
+        let composes kind = Exp_e14.composes (List.assoc kind storms) in
         let deterministic =
           (pw 8 Vmm).fp = rerun_vmm.fp && (pw 8 Uk).fp = rerun_uk.fp
         in
@@ -834,11 +772,11 @@ let experiment =
               ~measured:
                 (Printf.sprintf
                    "uk wall %.0fk -> %.0fk; vmm wall %.0fk -> %.0fk"
-                   (Int64.to_float (storm_get Uk 1).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Uk 8).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Vmm 1).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Vmm 8).s_wall /. 1e3))
-              (composes Uk && composes Vmm);
+                   (storm_wall Exp_e14.Uk_colocated 1)
+                   (storm_wall Exp_e14.Uk_colocated 8)
+                   (storm_wall Exp_e14.Vmm_drivers 1)
+                   (storm_wall Exp_e14.Vmm_drivers 8))
+              (composes Exp_e14.Uk_colocated && composes Exp_e14.Vmm_drivers);
             Experiment.verdict ~claim:"The fabric replays bit-for-bit"
               ~expected:
                 "same-seed 8-guest pairwise rerun: identical arrivals, \

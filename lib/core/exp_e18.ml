@@ -10,15 +10,12 @@ module Svc = Vmk_ukernel.Svc
 module Watchdog = Vmk_ukernel.Watchdog
 module Net_server = Vmk_ukernel.Net_server
 module Blk_server = Vmk_ukernel.Blk_server
-module Cluster = Vmk_ukernel.Smp_cluster
 module Hypervisor = Vmk_vmm.Hypervisor
-module Hcall = Vmk_vmm.Hcall
 module Net_channel = Vmk_vmm.Net_channel
 module Blk_channel = Vmk_vmm.Blk_channel
 module Dom0 = Vmk_vmm.Dom0
 module Driver_dom = Vmk_vmm.Driver_dom
 module Bridge = Vmk_vmm.Bridge
-module Svmm = Vmk_vmm.Smp_vmm
 module Port_xen = Vmk_guest.Port_xen
 module Port_l4 = Vmk_guest.Port_l4
 module Sys = Vmk_guest.Sys
@@ -499,44 +496,16 @@ let tcb_run ~quick ~mode =
 
 (* --- the E14 storm with a fixed driver-domain fleet --- *)
 
-type smp_kind = Smp_uk | Smp_dom0 | Smp_percore | Smp_fleet
-
-let smp_kinds = [ Smp_uk; Smp_dom0; Smp_percore; Smp_fleet ]
 let fleet_size = 3
 
+let smp_kinds =
+  Exp_e14.[ Uk_pinned; Vmm_dom0; Vmm_drivers; Vmm_fleet fleet_size ]
+
 let smp_label = function
-  | Smp_uk -> "uk/pinned"
-  | Smp_dom0 -> "vmm/single-dom0"
-  | Smp_percore -> "vmm/per-core-drivers"
-  | Smp_fleet -> Printf.sprintf "vmm/%d-domain-fleet" fleet_size
+  | Exp_e14.Vmm_drivers -> "vmm/per-core-drivers"
+  | kind -> Exp_e14.label kind
 
 let smp_seed = 18L
-
-type smp_run = { s_completed : int; s_wall : int64 }
-
-let smp_case ~kind ~cores ~packets =
-  match kind with
-  | Smp_uk ->
-      let cfg =
-        { (Cluster.default ~placement:Cluster.Pinned ~cores ()) with
-          Cluster.packets }
-      in
-      let r = Cluster.run ~seed:smp_seed cfg in
-      { s_completed = r.Cluster.completed; s_wall = r.Cluster.wall }
-  | Smp_dom0 | Smp_percore | Smp_fleet ->
-      let backend =
-        match kind with
-        | Smp_dom0 -> Svmm.Single_dom0
-        | Smp_percore -> Svmm.Driver_domains
-        | _ -> Svmm.Fixed_domains fleet_size
-      in
-      let cfg = { (Svmm.default ~backend ~cores ()) with Svmm.packets } in
-      let r = Svmm.run ~seed:smp_seed cfg in
-      { s_completed = r.Svmm.completed; s_wall = r.Svmm.wall }
-
-let smp_throughput r =
-  if Int64.compare r.s_wall 0L <= 0 then 0.0
-  else float_of_int r.s_completed *. 1e6 /. Int64.to_float r.s_wall
 
 (* --- reporting --- *)
 
@@ -609,14 +578,16 @@ let run ~quick =
         ( cores,
           List.map
             (fun kind ->
-              (kind, smp_case ~kind ~cores ~packets:storm_packets))
+              ( kind,
+                Exp_e14.throughput
+                  (Exp_e14.run_case ~seed:smp_seed ~kind ~cores
+                     ~packets:storm_packets ()) ))
             smp_kinds ))
       core_counts
   in
-  let tput ~cores ~kind =
-    smp_throughput (List.assoc kind (List.assoc cores storm))
-  in
+  let tput ~cores ~kind = List.assoc kind (List.assoc cores storm) in
   let scale kind = tput ~cores:8 ~kind /. tput ~cores:1 ~kind in
+  let fleet = Exp_e14.Vmm_fleet fleet_size in
   (* Tables. *)
   let tcb_table =
     let t =
@@ -650,7 +621,7 @@ let run ~quick =
       (fun (cores, row) ->
         Table.add_row t
           (string_of_int cores
-          :: List.map (fun (_, r) -> Table.cellf "%.1f" (smp_throughput r)) row))
+          :: List.map (fun (_, tput) -> Table.cellf "%.1f" tput) row))
       storm;
     t
   in
@@ -807,11 +778,11 @@ let run ~quick =
             (Printf.sprintf
                "8-core speedups: uk %.2fx, per-core %.2fx, fleet %.2fx, \
                 dom0 %.2fx"
-               (scale Smp_uk) (scale Smp_percore) (scale Smp_fleet)
-               (scale Smp_dom0))
-          (scale Smp_percore >= 0.7 *. scale Smp_uk
-          && tput ~cores:8 ~kind:Smp_fleet > tput ~cores:8 ~kind:Smp_dom0
-          && scale Smp_fleet > scale Smp_dom0);
+               (scale Exp_e14.Uk_pinned) (scale Exp_e14.Vmm_drivers)
+               (scale fleet) (scale Exp_e14.Vmm_dom0))
+          (scale Exp_e14.Vmm_drivers >= 0.7 *. scale Exp_e14.Uk_pinned
+          && tput ~cores:8 ~kind:fleet > tput ~cores:8 ~kind:Exp_e14.Vmm_dom0
+          && scale fleet > scale Exp_e14.Vmm_dom0);
         Experiment.verdict
           ~claim:"the disaggregated stack stays deterministic"
           ~expected:

@@ -25,7 +25,6 @@ module Addr = Vmk_hw.Addr
 module Counter = Vmk_trace.Counter
 module Accounts = Vmk_trace.Accounts
 module Rng = Vmk_sim.Rng
-module Cap = Vmk_cap.Cap
 module Kernel = Vmk_ukernel.Kernel
 module Sysif = Vmk_ukernel.Sysif
 module Proto = Vmk_ukernel.Proto
@@ -41,7 +40,6 @@ module Sys = Vmk_guest.Sys
 let depths = [ 1; 2; 3; 4; 5; 6 ]
 let packet_len = 512
 let sender_pace = 8_000
-let settle = 50_000
 let storm_guests = 6
 let storm_chain_depth = 3
 let io_timeout = 20_000_000L
@@ -222,10 +220,8 @@ type storm = {
   st_forced : int;  (** Forced unmaps from the storm's revoke (vmm). *)
   st_transitions : int;  (** Privileged transitions over the whole run. *)
   st_teardown : int64;  (** Revoke span (uk: call round trip; vmm: exact). *)
-  st_wall : int64;
-  st_arrivals : (int * int64) list;
-  st_counters : (string * int) list;
-  st_accounts : (string * int64) list;
+  st_fp : Scenario.fingerprint;
+      (** Its [f_packets] counts what the pairwise senders sent. *)
 }
 
 let percentile_gap p times =
@@ -252,27 +248,25 @@ let innocent_times arrivals ~innocent =
     (fun (tag, at) -> if List.mem (Sys.vnet_src tag) innocent then Some at else None)
     arrivals
 
-(* Pairwise traffic plan shared by both storm realizations: odd ports
-   send [count] packets to port+1. Ports 1/2 are the misbehaving pair;
-   3->4 and 5->6 are the innocent bystanders. *)
+(* Pairwise traffic plan shared by both storm realizations, on E17's
+   portable app bodies: odd ports send [count] packets to port+1. Ports
+   1/2 are the misbehaving pair ([first] wraps port 1's sender); 3->4
+   and 5->6 are the innocent bystanders. *)
 let storm_innocent = [ 3; 5 ]
 
-let sender ~src ~dst ~count () =
-  Sys.burn settle;
-  for seq = 0 to count - 1 do
-    (try Sys.net_send ~len:packet_len ~tag:(Sys.vnet_tag ~src ~dst ~seq)
-     with Sys.Sys_error _ -> ());
-    Sys.burn sender_pace
-  done;
-  try Sys.net_drain () with Sys.Sys_error _ -> ()
-
-let receiver mach ~record ~packets () =
-  try
-    for _ = 1 to packets do
-      let _len, tag = Sys.net_recv () in
-      record ~tag ~at:(Machine.now mach)
-    done
-  with Sys.Sys_error _ -> ()
+let storm_apps mach ~record ~sent ~count ~first =
+  let send src =
+    Exp_e17.sender ~sent ~src ~dst:(src + 1) ~count ~pace:sender_pace
+  in
+  let recv = Exp_e17.receiver mach ~record ~packets:count ~work:0 in
+  [
+    (1, first (send 1));
+    (2, recv);
+    (3, send 3);
+    (4, recv);
+    (5, send 5);
+    (6, recv);
+  ]
 
 (* L4 storm: the broker recursively revokes the misbehaving guest's
    session-cap chain mid-run. Phase 1 of the victim's traffic flows
@@ -307,6 +301,7 @@ let uk_storm ~quick ~revoke =
          Counter.get counters "drv.net.vnet_attach" >= storm_guests));
   let arrivals = ref [] in
   let record ~tag ~at = arrivals := (tag, at) :: !arrivals in
+  let sent = ref 0 in
   let pending = ref 0 in
   let phase1_done = ref false in
   let revoke_done = ref (not revoke) in
@@ -319,8 +314,8 @@ let uk_storm ~quick ~revoke =
      severance signal is how many phase-2 packets failed to go out as
      direct vnet IPC. *)
   let v1 = List.nth vnets 0 in
-  let misbehaving () =
-    sender ~src:1 ~dst:2 ~count ();
+  let misbehaving send () =
+    send ();
     phase1_done := true;
     if revoke then begin
       while not !revoke_done do
@@ -336,16 +331,7 @@ let uk_storm ~quick ~revoke =
       victim_failed := count - (Port_l4.vnet_sent v1 - direct0)
     end
   in
-  let apps =
-    [
-      (1, misbehaving);
-      (2, receiver mach ~record ~packets:count);
-      (3, sender ~src:3 ~dst:4 ~count);
-      (4, receiver mach ~record ~packets:count);
-      (5, sender ~src:5 ~dst:6 ~count);
-      (6, receiver mach ~record ~packets:count);
-    ]
-  in
+  let apps = storm_apps mach ~record ~sent ~count ~first:misbehaving in
   pending := List.length apps;
   List.iter
     (fun (port, body) ->
@@ -389,10 +375,7 @@ let uk_storm ~quick ~revoke =
     st_forced = 0;
     st_transitions = Counter.get counters "uk.syscall";
     st_teardown = !teardown;
-    st_wall = Machine.now mach;
-    st_arrivals = arrivals;
-    st_counters = Counter.to_list counters;
-    st_accounts = Accounts.to_list mach.Machine.accounts;
+    st_fp = Scenario.fingerprint mach ~packets:!sent ~arrivals;
   }
 
 (* Xen storm: pairwise traffic through the Dom0 bridge while a 3-deep
@@ -464,17 +447,9 @@ let xen_storm ~quick ~revoke =
   ignore revoked;
   let arrivals = ref [] in
   let record ~tag ~at = arrivals := (tag, at) :: !arrivals in
+  let sent = ref 0 in
   let pending = ref 0 in
-  let apps =
-    [
-      (1, sender ~src:1 ~dst:2 ~count);
-      (2, receiver mach ~record ~packets:count);
-      (3, sender ~src:3 ~dst:4 ~count);
-      (4, receiver mach ~record ~packets:count);
-      (5, sender ~src:5 ~dst:6 ~count);
-      (6, receiver mach ~record ~packets:count);
-    ]
-  in
+  let apps = storm_apps mach ~record ~sent ~count ~first:Fun.id in
   pending := List.length apps;
   List.iteri
     (fun i (port, body) ->
@@ -503,10 +478,7 @@ let xen_storm ~quick ~revoke =
     st_transitions =
       Counter.get counters "vmm.hypercall" + Counter.get counters "vmm.upcall";
     st_teardown = !teardown;
-    st_wall = Machine.now mach;
-    st_arrivals = arrivals;
-    st_counters = Counter.to_list counters;
-    st_accounts = Accounts.to_list mach.Machine.accounts;
+    st_fp = Scenario.fingerprint mach ~packets:!sent ~arrivals;
   }
 
 (* --- reporting --- *)

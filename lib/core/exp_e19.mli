@@ -42,10 +42,8 @@ type storm = {
   st_forced : int;  (** Forced unmaps from the storm's revoke (vmm). *)
   st_transitions : int;  (** Privileged transitions over the whole run. *)
   st_teardown : int64;  (** Revoke span (uk: call round trip; vmm: exact). *)
-  st_wall : int64;
-  st_arrivals : (int * int64) list;
-  st_counters : (string * int) list;
-  st_accounts : (string * int64) list;
+  st_fp : Scenario.fingerprint;
+      (** Its [f_packets] counts what the pairwise senders sent. *)
 }
 
 val uk_storm : quick:bool -> revoke:bool -> storm

@@ -36,7 +36,6 @@
 
 module Machine = Vmk_hw.Machine
 module Cpu = Vmk_hw.Cpu
-module Arch = Vmk_hw.Arch
 module Engine = Vmk_sim.Engine
 module Counter = Vmk_trace.Counter
 module Accounts = Vmk_trace.Accounts
@@ -48,8 +47,6 @@ module Vnet = Vmk_vnet.Vnet
 module Token_bucket = Vmk_overload.Overload.Token_bucket
 module Bounded_queue = Vmk_overload.Overload.Bounded_queue
 module Weighted_buckets = Vmk_overload.Overload.Weighted_buckets
-module Vcosts = Vmk_vmm.Costs
-module Ucosts = Vmk_ukernel.Costs
 
 type stack = Vmm | Uk
 
@@ -59,43 +56,24 @@ type mode = Naive | Policied
 
 let mode_name = function Naive -> "naive" | Policied -> "policied"
 
-(* --- per-packet fabric costs (mirrors the E14 smp storm models) --- *)
+(* --- per-packet fabric costs: the E14 storm models' own recipes --- *)
 
-let netback_work = 400 (* Dom0 netback per-packet driver work *)
-let driver_work = 600 (* uk net-server per-packet driver work *)
-let service_batch = 16 (* packets serviced per dispatch (E16 batching) *)
-
-type costs = {
-  c_free : int; (* per-packet work outside any shared lock *)
-  c_locked : int; (* per-packet critical section under the shared lock *)
-  c_irq : int; (* doorbell interrupt billed to the serving core *)
-}
-
-let costs_of ~stack (arch : Arch.profile) =
+(* The VMM funnels every packet through one Dom0 netback shard (grant
+   check + page flip under the global grant-table lock); the microkernel
+   shard pays driver + IPC + map on its own core, only the mapdb update
+   under the shared lock. *)
+let costs_of ~stack arch =
   match stack with
-  | Vmm ->
-      (* netback + event channel outside the lock; grant check + page
-         flip (two PT updates) under the global grant-table lock. *)
-      let flip = Vcosts.page_flip_fixed + (2 * arch.Arch.pt_update_cost) in
-      {
-        c_free = netback_work + Vcosts.evtchn_send;
-        c_locked = Vcosts.grant_check + flip;
-        c_irq = arch.Arch.irq_entry_cost + Vcosts.irq_route;
-      }
-  | Uk ->
-      (* driver + IPC + map on the shard's own core; only the mapdb
-         update is under the shared lock. *)
-      {
-        c_free = driver_work + Ucosts.ipc_path + arch.Arch.page_map_cost;
-        c_locked = 2 * arch.Arch.pt_update_cost;
-        c_irq = arch.Arch.irq_entry_cost + Ucosts.irq_to_ipc;
-      }
+  | Vmm -> Vmk_vmm.Smp_vmm.costs arch
+  | Uk -> Vmk_ukernel.Smp_cluster.costs arch
+
+let service_batch = 16 (* packets serviced per dispatch (E16 batching) *)
 
 let decision_cost = Vnet.flow_hit_cost + Vnet.enqueue_cost
 
 let svc_cycles ~stack arch =
   let c = costs_of ~stack arch in
-  c.c_free + c.c_locked + decision_cost
+  c.Smp.free + c.Smp.locked + decision_cost
 
 (* The VMM's single-core cycles/packet is the capacity anchor all
    scenario rates are expressed against ("1.3x" = 30% over what one
@@ -318,8 +296,8 @@ let run_cell ~stack ~mode ~sched ?(seed = 220L) ?(pkt_gap = 400)
       s.sh_parked <- false
     end
     else begin
-      Smp.burn ((!n * c.c_free) + !(s.sh_sw_burn));
-      Smp.locked lock ~cycles:(!n * c.c_locked);
+      Smp.burn ((!n * c.Smp.free) + !(s.sh_sw_burn));
+      Smp.locked lock ~cycles:(!n * c.Smp.locked);
       let now_i = Int64.to_int s.sh_cpu.Cpu.now in
       for k = 0 to !n - 1 do
         record_delivery s now_i s.sh_scratch.(k)
@@ -380,7 +358,7 @@ let run_cell ~stack ~mode ~sched ?(seed = 220L) ?(pkt_gap = 400)
         with
         | Bounded_queue.Accepted ->
             if s.sh_parked && Bounded_queue.length s.sh_q = 1 then
-              Smp.post smp ~irq_cost:c.c_irq ~dst:s.sh_tid 0
+              Smp.post smp ~irq_cost:c.Smp.irq ~dst:s.sh_tid 0
         | Bounded_queue.Rejected ->
             incr drops;
             fail_flow f

@@ -45,6 +45,51 @@ let outcome_of mach ~completed =
     icache_miss_cycles = Vmk_hw.Cache.miss_cycles mach.Machine.icache;
   }
 
+type fingerprint = {
+  f_wall : int64;
+  f_packets : int;
+  f_arrivals : (int * int64) list;
+  f_counters : (string * int) list;
+  f_accounts : (string * int64) list;
+  f_cpu_accounts : (string * int64) list list;
+}
+
+let fingerprint mach ~packets ~arrivals =
+  let accounts = mach.Machine.accounts in
+  {
+    f_wall = Machine.now mach;
+    f_packets = packets;
+    f_arrivals = List.sort compare arrivals;
+    f_counters = Counter.to_list mach.Machine.counters;
+    f_accounts = Accounts.to_list accounts;
+    f_cpu_accounts =
+      List.init (Machine.ncpus mach) (fun cpu ->
+          Accounts.to_cpu_list accounts ~cpu);
+  }
+
+let fp_counter fp name =
+  Option.value ~default:0 (List.assoc_opt name fp.f_counters)
+
+let fp_account ?cpu fp name =
+  let accounts =
+    match cpu with None -> fp.f_accounts | Some i -> List.nth fp.f_cpu_accounts i
+  in
+  Option.value ~default:0L (List.assoc_opt name accounts)
+
+let machine ?arch ?seed ?mitigation () =
+  let mach = Machine.create ?arch ?seed () in
+  Option.iter (Nic.set_mitigation mach.Machine.nic) mitigation;
+  mach
+
+(* The stop condition of a run. Without a [deadline] the caller then
+   lets in-flight I/O drain so device counters settle; a polling driver
+   re-arms its timer forever, so the engine never drains and a
+   [deadline] run stops there instead. *)
+let finished ~completed mach = function
+  | None -> fun () -> !completed
+  | Some d ->
+      fun () -> !completed || Int64.compare (Machine.now mach) d >= 0
+
 let run_native ?arch ?seed ?traffic ~app () =
   let mach = Machine.create ?arch ?seed () in
   let _source =
@@ -60,8 +105,9 @@ let run_native ?arch ?seed ?traffic ~app () =
   outcome_of mach ~completed:!completed
 
 let run_xen ?arch ?seed ?(rx_mode = Net_channel.Flip) ?(net = true) ?(blk = true)
-    ?(fast_syscall = true) ?(glibc_tls = false) ?traffic ~app () =
-  let mach = Machine.create ?arch ?seed () in
+    ?(fast_syscall = true) ?(glibc_tls = false) ?dom0_weight ?net_admit
+    ?net_napi ?net_poll ?io_timeout ?mitigation ?deadline ?traffic ~app () =
+  let mach = machine ?arch ?seed ?mitigation () in
   let h = Hypervisor.create mach in
   let net_chan =
     if net then Some (Net_channel.create ~mode:rx_mode ~demux_key:1 ()) else None
@@ -69,7 +115,8 @@ let run_xen ?arch ?seed ?(rx_mode = Net_channel.Flip) ?(net = true) ?(blk = true
   let blk_chan = if blk then Some (Blk_channel.create ()) else None in
   let dom0 =
     Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
-      (Dom0.body mach
+      ?weight:dom0_weight
+      (Dom0.body mach ?net_admit ?net_napi ?net_poll
          ?net:(Option.map (fun c -> [ c ]) net_chan)
          ?blk:(Option.map (fun c -> [ c ]) blk_chan))
   in
@@ -80,7 +127,7 @@ let run_xen ?arch ?seed ?(rx_mode = Net_channel.Flip) ?(net = true) ?(blk = true
       (Port_xen.guest_body mach
          ?net:(Option.map (fun c -> (c, dom0)) net_chan)
          ?blk:(Option.map (fun c -> (c, dom0)) blk_chan)
-         ~fast_syscall ~glibc_tls
+         ~fast_syscall ~glibc_tls ?io_timeout
          ~on_ready:(fun () -> ready := true)
          ~app:(fun () ->
            app ();
@@ -89,19 +136,21 @@ let run_xen ?arch ?seed ?(rx_mode = Net_channel.Flip) ?(net = true) ?(blk = true
   let _source =
     Option.map (fun spec -> spec mach ~gate:(fun () -> !ready)) traffic
   in
-  ignore (Hypervisor.run h ~until:(fun () -> !completed));
-  (* Let in-flight I/O drain so device counters settle. *)
-  ignore (Hypervisor.run h ~max_dispatches:100_000);
+  ignore (Hypervisor.run h ~until:(finished ~completed mach deadline));
+  if Option.is_none deadline then
+    ignore (Hypervisor.run h ~max_dispatches:100_000);
   outcome_of mach ~completed:!completed
 
-let run_l4 ?arch ?seed ?(net = true) ?(blk = true) ?traffic ~app () =
-  let mach = Machine.create ?arch ?seed () in
+let run_l4 ?arch ?seed ?(net = true) ?(blk = true) ?admit ?rx_capacity ?napi
+    ?poll ?retry ?mitigation ?deadline ?traffic ~app () =
+  let mach = machine ?arch ?seed ?mitigation () in
   let k = Kernel.create mach in
   let net_tid =
     if net then
       Some
         (Kernel.spawn k ~name:"net-server" ~priority:2
-           ~account:Net_server.account (fun () -> Net_server.body mach ()))
+           ~account:Net_server.account (fun () ->
+             Net_server.body mach ?admit ?rx_capacity ?napi ?poll ()))
     else None
   in
   let blk_tid =
@@ -111,9 +160,10 @@ let run_l4 ?arch ?seed ?(net = true) ?(blk = true) ?traffic ~app () =
            ~account:Blk_server.account (fun () -> Blk_server.body mach ()))
     else None
   in
+  let retry = Option.map (fun mk -> mk mach) retry in
   let gk =
     Kernel.spawn k ~name:"guest-kernel" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ~net:net_tid ~blk:blk_tid)
+      (Port_l4.guest_kernel_body ?retry ~net:net_tid ~blk:blk_tid)
   in
   let completed = ref false in
   let _app_tid =
@@ -128,6 +178,6 @@ let run_l4 ?arch ?seed ?(net = true) ?(blk = true) ?traffic ~app () =
         spec mach ~gate:(fun () -> Nic.rx_buffers_posted mach.Machine.nic > 0))
       traffic
   in
-  ignore (Kernel.run k ~until:(fun () -> !completed));
-  ignore (Kernel.run k ~max_dispatches:100_000);
+  ignore (Kernel.run k ~until:(finished ~completed mach deadline));
+  if Option.is_none deadline then ignore (Kernel.run k ~max_dispatches:100_000);
   outcome_of mach ~completed:!completed

@@ -100,6 +100,7 @@ type t = {
 }
 
 type stop_reason = Idle | Condition | Rounds
+type costs = { free : int; locked : int; irq : int }
 
 let create ?(quantum = 1000) mach =
   if quantum < 1 then invalid_arg "Smp.create: quantum must be positive";

@@ -100,6 +100,15 @@ val locked : lock -> cycles:int -> unit
 val shootdown : pages:int -> unit
 (** Broadcast TLB invalidation for [pages] pages to every other core. *)
 
+type costs = {
+  free : int;  (** Per-packet server work outside any shared lock. *)
+  locked : int;  (** Per-packet critical section under the shared lock. *)
+  irq : int;  (** Interrupt entry per packet, the [irq_cost] of {!post}. *)
+}
+(** A packet server's per-packet cost recipe: what one packet costs a
+    server thread as {!burn}/{!send} work, a {!locked} section and the
+    interrupt that delivered it. *)
+
 (** {1 Locks} *)
 
 val lock_create : t -> name:string -> lock

@@ -33,6 +33,18 @@ type result = {
 let driver_work = 600
 let unmap_batch = 16
 
+(* The IPC that hands the mapped page to the guest. *)
+let handoff arch = Costs.ipc_path + arch.Arch.page_map_cost
+
+(* Driver work and the hand-off IPC run on the server's own core; only
+   the mapping-database update is under the shared lock. *)
+let costs arch =
+  {
+    Smp.free = driver_work + handoff arch;
+    locked = 2 * arch.Arch.pt_update_cost;
+    irq = arch.Arch.irq_entry_cost + Costs.irq_to_ipc;
+  }
+
 let default ?(placement = Colocated) ~cores () =
   {
     cores;
@@ -54,6 +66,7 @@ let run ?seed cfg =
   let arch = mach.Machine.arch in
   let smp = Smp.create mach in
   let mapdb_lock = Smp.lock_create smp ~name:"mapdb" in
+  let c = costs arch in
   (* Placement: Colocated runs one net server per core next to its
      guests (same-core IPC); Pinned dedicates the first cores to net
      servers, so every server->guest IPC crosses cores and pays IPIs —
@@ -107,11 +120,8 @@ let run ?seed cfg =
             for _ = 1 to quota do
               let dst = Smp.recv () in
               Smp.burn driver_work;
-              (* Mapping-database update under the shared lock. *)
-              Smp.locked mapdb_lock
-                ~cycles:(2 * arch.Arch.pt_update_cost);
-              Smp.send ~dst ~tag:dst
-                ~cycles:(Costs.ipc_path + arch.Arch.page_map_cost)
+              Smp.locked mapdb_lock ~cycles:c.Smp.locked;
+              Smp.send ~dst ~tag:dst ~cycles:(handoff arch)
             done))
   in
   (* Traffic: one packet per period, round-robin over guests, delivered
@@ -125,9 +135,7 @@ let run ?seed cfg =
            interrupt→IPC entry; the rest land under the open hold-off
            window and cost one poll-batch read. *)
         let irq_cost =
-          if !sent mod coalesce = 0 then
-            arch.Arch.irq_entry_cost + Costs.irq_to_ipc
-          else arch.Arch.poll_batch_cost
+          if !sent mod coalesce = 0 then c.Smp.irq else arch.Arch.poll_batch_cost
         in
         incr sent;
         Smp.post smp ~irq_cost ~dst:srv_tids.(guest_srv g) guest_tids.(g);

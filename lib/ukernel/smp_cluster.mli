@@ -45,6 +45,12 @@ val default : ?placement:placement -> cores:int -> unit -> config
 (** The E14 workload: 8 guests, 640 packets of 512 bytes arriving every
     400 cycles, 2600 cycles of app work each. *)
 
+val costs : Vmk_hw.Arch.profile -> Vmk_smp.Smp.costs
+(** A net server's per-packet recipe, the one {!run} charges: driver
+    work and the IPC handing the mapped page to the guest on the
+    server's own core, the mapping-database update under the shared
+    lock. *)
+
 val run : ?seed:int64 -> config -> result
 (** Build a fresh machine with [cfg.cores] vCPUs, run the pipeline to
     completion. Deterministic per seed.

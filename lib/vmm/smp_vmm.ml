@@ -33,6 +33,22 @@ let netback_work = 400
 let frontend_work = 300
 let flip_batch = 16
 
+let flip_cost arch = Costs.page_flip_fixed + (2 * arch.Arch.pt_update_cost)
+
+(* Netback work and the event-channel send that hands the packet to the
+   guest run outside the lock. Single_dom0 does the grant check and page
+   flip under the global grant-table lock; a driver domain flips under
+   its private table, so only the frame-ownership check hits the shared
+   lock. *)
+let costs ?(backend = Single_dom0) arch =
+  let irq = arch.Arch.irq_entry_cost + Costs.irq_route in
+  let outside = netback_work + Costs.evtchn_send in
+  match backend with
+  | Single_dom0 ->
+      { Smp.free = outside; locked = Costs.grant_check + flip_cost arch; irq }
+  | Driver_domains | Fixed_domains _ ->
+      { Smp.free = outside + flip_cost arch; locked = Costs.grant_check; irq }
+
 let default ?(backend = Single_dom0) ~cores () =
   {
     cores;
@@ -75,7 +91,8 @@ let run ?seed cfg =
            cores, however many cores there are. *)
         (n, (fun d -> d mod cfg.cores), fun i -> i mod cfg.cores)
   in
-  let flip_cost = Costs.page_flip_fixed + (2 * arch.Arch.pt_update_cost) in
+  let c = costs ~backend:cfg.backend arch in
+  let flip = flip_cost arch in
   let guest_count = Array.init cfg.guests (split_count cfg.packets cfg.guests) in
   let guest_drv i =
     match cfg.backend with
@@ -115,15 +132,9 @@ let run ?seed cfg =
               let dst = Smp.recv () in
               Smp.burn netback_work;
               (match cfg.backend with
-              | Single_dom0 ->
-                  (* Grant check + page flip, all under the global
-                     grant-table lock. *)
-                  Smp.locked gnt_lock ~cycles:(Costs.grant_check + flip_cost)
-              | Driver_domains | Fixed_domains _ ->
-                  (* Flip under the private per-domain table; only the
-                     frame-ownership check hits the shared lock. *)
-                  Smp.burn flip_cost;
-                  Smp.locked gnt_lock ~cycles:Costs.grant_check);
+              | Single_dom0 -> ()
+              | Driver_domains | Fixed_domains _ -> Smp.burn flip);
+              Smp.locked gnt_lock ~cycles:c.Smp.locked;
               (* Flipped-out pages invalidated in batches. *)
               if n mod flip_batch = 0 then Smp.shootdown ~pages:flip_batch;
               Smp.send ~dst ~tag:dst ~cycles:Costs.evtchn_send
@@ -138,9 +149,7 @@ let run ?seed cfg =
            IRQ-route entry; the rest land under the open hold-off window
            and cost one poll-batch read. *)
         let irq_cost =
-          if !sent mod coalesce = 0 then
-            arch.Arch.irq_entry_cost + Costs.irq_route
-          else arch.Arch.poll_batch_cost
+          if !sent mod coalesce = 0 then c.Smp.irq else arch.Arch.poll_batch_cost
         in
         incr sent;
         Smp.post smp ~irq_cost ~dst:drv_tids.(guest_drv g) guest_tids.(g);

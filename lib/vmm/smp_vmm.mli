@@ -49,6 +49,13 @@ val default : ?backend:backend -> cores:int -> unit -> config
 (** The E14 workload: 8 guests, 640 packets of 512 bytes arriving every
     400 cycles, 2600 cycles of app work each. *)
 
+val costs : ?backend:backend -> Vmk_hw.Arch.profile -> Vmk_smp.Smp.costs
+(** The backend's per-packet recipe, the one {!run} charges: netback
+    work and the event-channel send outside the lock; grant check and
+    page flip under the global grant-table lock ([Single_dom0], the
+    default), or the flip under a private table and only the grant check
+    under the shared lock (driver domains). *)
+
 val run : ?seed:int64 -> config -> result
 (** Build a fresh machine with [cfg.cores] vCPUs, run the pipeline to
     completion. Deterministic per seed.

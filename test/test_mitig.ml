@@ -7,6 +7,7 @@ open Vmk_hw
 module Engine = Vmk_sim.Engine
 module Counter = Vmk_trace.Counter
 module Overload = Vmk_overload.Overload
+module Exp_e15 = Vmk_core.Exp_e15
 module Exp_e16 = Vmk_core.Exp_e16
 
 let check_int = Alcotest.(check int)
@@ -247,20 +248,45 @@ let prop_drain_equivalence =
              fa = sorted fa && fb = sorted fb && fa = fb)
            [ 0; 1; 2; 3 ])
 
-(* --- E16 replay: same seed, bit-for-bit metrics --- *)
+(* --- Replay: same seed, bit-for-bit; another configuration, another
+   fingerprint --- *)
 
 let test_e16_replay () =
-  let same stack mode =
-    let r1 = Exp_e16.run_one stack mode ~base:12 (4, 1) in
-    let r2 = Exp_e16.run_one stack mode ~base:12 (4, 1) in
-    Exp_e16.received r1 > 0 && Exp_e16.fp r1 = Exp_e16.fp r2
+  let e16 stack mode () =
+    let r = Exp_e16.run_one stack mode ~base:12 (4, 1) in
+    (Exp_e16.received r, Exp_e16.fp r)
   in
-  check_bool "vmm hybrid replay is bit-for-bit" true
-    (same Exp_e16.Vmm Exp_e16.Hybrid);
-  check_bool "uk hybrid replay is bit-for-bit" true
-    (same Exp_e16.Uk Exp_e16.Hybrid);
-  check_bool "uk polling replay is bit-for-bit" true
-    (same Exp_e16.Uk Exp_e16.Polling)
+  let e15 stack mode () =
+    let r = Exp_e15.run_one stack mode ~base:12 (4, 1) in
+    (Exp_e15.received r, Exp_e15.fp r)
+  in
+  let configs =
+    [
+      ("e16 vmm hybrid", e16 Exp_e16.Vmm Exp_e16.Hybrid);
+      ("e16 uk hybrid", e16 Exp_e16.Uk Exp_e16.Hybrid);
+      ("e16 uk polling", e16 Exp_e16.Uk Exp_e16.Polling);
+      ("e15 vmm naive", e15 Exp_e15.Vmm Exp_e15.Naive);
+      ("e15 uk policied", e15 Exp_e15.Uk Exp_e15.Policied);
+    ]
+  in
+  let fps =
+    List.map
+      (fun (label, run) ->
+        let received, fp = run () in
+        let _, again = run () in
+        check_bool (label ^ " received packets") true (received > 0);
+        check_bool (label ^ " replay is bit-for-bit") true (fp = again);
+        (label, fp))
+      configs
+  in
+  List.iteri
+    (fun i (a, fa) ->
+      List.iteri
+        (fun j (b, fb) ->
+          if i < j then
+            check_bool (Printf.sprintf "%s differs from %s" a b) false (fa = fb))
+        fps)
+    fps
 
 let suite =
   [

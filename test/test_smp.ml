@@ -178,14 +178,7 @@ let test_e14_same_seed_identical () =
   List.iter
     (fun kind ->
       let fingerprint () =
-        let r = E.run_case ~kind ~cores:4 ~packets:96 in
-        let m = r.E.mach in
-        ( r.E.wall,
-          r.E.completed,
-          Counter.to_list m.Machine.counters,
-          Accounts.to_list m.Machine.accounts,
-          List.init (Machine.ncpus m) (fun i ->
-              Accounts.to_cpu_list m.Machine.accounts ~cpu:i) )
+        (E.run_case ~kind ~cores:4 ~packets:96 ()).E.fp
       in
       let a = fingerprint () and b = fingerprint () in
       Alcotest.(check bool) "bit-for-bit identical" true (a = b))
@@ -263,7 +256,7 @@ let prop_tickless_equivalence =
 
 let test_e14_shapes () =
   let module E = Vmk_core.Exp_e14 in
-  let tput kind cores = E.throughput (E.run_case ~kind ~cores ~packets:240) in
+  let tput kind cores = E.throughput (E.run_case ~kind ~cores ~packets:240 ()) in
   Alcotest.(check bool) "single-dom0 plateaus 4->8" true
     (tput E.Vmm_dom0 8 /. tput E.Vmm_dom0 4 < 1.25);
   Alcotest.(check bool) "colocated microkernel scales 1->8" true

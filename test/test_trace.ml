@@ -1,4 +1,4 @@
-(* Tests for counters, cycle accounts and the trace ring. *)
+(* Tests for counters and cycle accounts. *)
 
 open Vmk_trace
 
@@ -120,55 +120,6 @@ let test_accounts_share_empty () =
   let a = Accounts.create () in
   Alcotest.(check (float 1e-9)) "no charges" 0.0 (Accounts.share a "x")
 
-(* --- Ring --- *)
-
-let test_ring_retains_tail () =
-  let r = Ring.create ~capacity:3 in
-  for i = 1 to 5 do
-    Ring.record r ~time:(Int64.of_int i) i
-  done;
-  check_int "length" 3 (Ring.length r);
-  check_int "appended" 5 (Ring.appended r);
-  check_int "dropped" 2 (Ring.dropped r);
-  Alcotest.(check (list int)) "tail retained" [ 3; 4; 5 ]
-    (List.map snd (Ring.to_list r))
-
-let test_ring_under_capacity () =
-  let r = Ring.create ~capacity:10 in
-  Ring.record r ~time:1L "a";
-  Ring.record r ~time:2L "b";
-  Alcotest.(check (list string)) "in order" [ "a"; "b" ]
-    (List.map snd (Ring.to_list r));
-  check_int "dropped" 0 (Ring.dropped r)
-
-let test_ring_find_last () =
-  let r = Ring.create ~capacity:8 in
-  List.iteri (fun i v -> Ring.record r ~time:(Int64.of_int i) v)
-    [ "x"; "match"; "y"; "match"; "z" ];
-  match Ring.find_last r ~f:(fun v -> v = "match") with
-  | Some (t, _) -> check_i64 "most recent match" 3L t
-  | None -> Alcotest.fail "expected a match"
-
-let test_ring_clear () =
-  let r = Ring.create ~capacity:4 in
-  Ring.record r ~time:1L 1;
-  Ring.clear r;
-  check_int "empty" 0 (Ring.length r);
-  check_int "appended reset" 0 (Ring.appended r)
-
-let prop_ring_keeps_most_recent =
-  QCheck.Test.make ~name:"ring retains exactly the most recent entries"
-    ~count:200
-    QCheck.(pair (int_range 1 16) (list small_int))
-    (fun (capacity, entries) ->
-      let r = Ring.create ~capacity in
-      List.iteri (fun i v -> Ring.record r ~time:(Int64.of_int i) v) entries;
-      let n = List.length entries in
-      let expected =
-        List.filteri (fun i _ -> i >= n - capacity) entries
-      in
-      List.map snd (Ring.to_list r) = expected)
-
 let suite =
   [
     Alcotest.test_case "counter: incr/add/get" `Quick test_counter_incr_and_get;
@@ -194,9 +145,4 @@ let suite =
     Alcotest.test_case "accounts: negative rejected" `Quick
       test_accounts_negative_charge_rejected;
     Alcotest.test_case "accounts: empty share" `Quick test_accounts_share_empty;
-    Alcotest.test_case "ring: retains tail" `Quick test_ring_retains_tail;
-    Alcotest.test_case "ring: under capacity" `Quick test_ring_under_capacity;
-    Alcotest.test_case "ring: find_last" `Quick test_ring_find_last;
-    Alcotest.test_case "ring: clear" `Quick test_ring_clear;
-    QCheck_alcotest.to_alcotest prop_ring_keeps_most_recent;
   ]

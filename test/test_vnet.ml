@@ -197,17 +197,19 @@ let prop_per_flow_order =
    regression: the Uk pairwise boot maps IPC grant items into the
    receiver's space ahead of the allocator) --- *)
 
-let test_replay_vmm () =
-  let a = E17.pairwise ~stack:E17.Vmm ~guests:2 ~count:6 in
-  let b = E17.pairwise ~stack:E17.Vmm ~guests:2 ~count:6 in
+let replay stack =
+  let a = E17.pairwise ~stack ~guests:2 ~count:6 in
+  let b = E17.pairwise ~stack ~guests:2 ~count:6 in
+  let fewer = E17.pairwise ~stack ~guests:2 ~count:5 in
+  let wider = E17.pairwise ~stack ~guests:4 ~count:6 in
   check_int "all delivered" 6 (E17.received a);
-  check_bool "bit-for-bit" true (E17.fp a = E17.fp b)
+  check_bool "bit-for-bit" true (E17.fp a = E17.fp b);
+  check_bool "fewer packets, another fingerprint" false
+    (E17.fp a = E17.fp fewer);
+  check_bool "more guests, another fingerprint" false (E17.fp a = E17.fp wider)
 
-let test_replay_uk () =
-  let a = E17.pairwise ~stack:E17.Uk ~guests:2 ~count:6 in
-  let b = E17.pairwise ~stack:E17.Uk ~guests:2 ~count:6 in
-  check_int "all delivered" 6 (E17.received a);
-  check_bool "bit-for-bit" true (E17.fp a = E17.fp b)
+let test_replay_vmm () = replay E17.Vmm
+let test_replay_uk () = replay E17.Uk
 
 let suite =
   [
