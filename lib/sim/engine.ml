@@ -82,25 +82,24 @@ let burn t cycles =
   dispatch_due t
 
 let idle_to_next t =
-  match Heap.min_time t.queue with
-  | None -> false
-  | Some time ->
-      let skipped = Int64.sub time (now t) in
-      if Int64.compare skipped 0L > 0 then begin
-        t.idle_jumps <- t.idle_jumps + 1;
-        t.idle_skipped <- Int64.add t.idle_skipped skipped
-      end;
-      Clock.advance_to t.clock time;
-      dispatch_due t;
-      true
+  if Heap.is_empty t.queue then false
+  else begin
+    let time = Heap.min_time_or t.queue Int64.max_int in
+    let skipped = Int64.sub time (now t) in
+    if Int64.compare skipped 0L > 0 then begin
+      t.idle_jumps <- t.idle_jumps + 1;
+      t.idle_skipped <- Int64.add t.idle_skipped skipped
+    end;
+    Clock.advance_to t.clock time;
+    dispatch_due t;
+    true
+  end
 
 let run ?until t =
-  let continue () =
-    match (Heap.min_time t.queue, until) with
-    | None, _ -> false
-    | Some time, Some limit -> Int64.compare time limit <= 0
-    | Some _, None -> true
-  in
-  while continue () do
+  let limit = match until with Some l -> l | None -> Int64.max_int in
+  while
+    (not (Heap.is_empty t.queue))
+    && Int64.compare (Heap.min_time_or t.queue Int64.max_int) limit <= 0
+  do
     ignore (idle_to_next t)
   done

@@ -8,14 +8,18 @@ module Engine = Vmk_sim.Engine
 
 type tid = int
 
+(* Inside the executor every virtual time is a native int (a cycle count
+   never nears 2^62): an int64 field boxes on every write. Times cross
+   to int64 only at the [Cpu.now] / [Engine] boundary. *)
+
 type lock = {
   lname : string;
-  mutable free_at : int64;
+  mutable free_at : int;
       (** Global virtual time at which the previous critical section ends;
           an acquirer arriving earlier spins for the difference. *)
   mutable acquisitions : int;
   mutable contended : int;
-  mutable spin_cycles : int64;
+  mutable spin_cycles : int;
 }
 
 (* Cross-core hardware costs that are not per-architecture: these model
@@ -28,9 +32,12 @@ let cacheline_delay = 60
 let ipi_post_cost = 80
 let shootdown_base_cost = 150
 let shootdown_per_core_cost = 80
-let far = Int64.max_int
 
-type reply = R_unit | R_msg of int
+(* "Never": the wake-up time of a thread parked on an empty mailbox, and
+   what the scans below return when nothing is scheduled. [far64] is the
+   same sentinel for the engine's queue. *)
+let far = max_int
+let far64 = Int64.of_int far
 
 type call =
   | Burn of int
@@ -40,11 +47,12 @@ type call =
   | Locked of { lk : lock; cycles : int }
   | Shootdown of { pages : int }
 
-type _ Effect.t += Invoke : call -> reply Effect.t
+(* The reply is the received tag for [Recv], 0 for every other call. *)
+type _ Effect.t += Invoke : call -> int Effect.t
 
 type state = Ready | Running | Blocked | Done
 
-type mail = { visible_at : int64; mseq : int; mtag : int }
+type mail = { visible_at : int; mseq : int; mtag : int }
 
 type thread = {
   tid : tid;
@@ -54,11 +62,11 @@ type thread = {
   weight : int;
   mutable credit : int;
   mutable st : state;
-  mutable cont : (reply, unit) Effect.Deep.continuation option;
-  mutable pending : reply;
+  mutable cont : (int, unit) Effect.Deep.continuation option;
+  mutable pending : int;
   mutable body : (unit -> unit) option;
   mutable burn_left : int;
-  mutable ready_at : int64;
+  mutable ready_at : int;
       (** Earliest global time this thread may next run: message
           visibility for receivers, [far] while parked with an empty
           mailbox. *)
@@ -68,7 +76,7 @@ type thread = {
 
 type core = {
   hw : Cpu.t;
-  mutable threads : thread list;  (** Pinned here, in spawn order. *)
+  mutable threads : thread array;  (** Pinned here, in spawn order. *)
   mutable pending_ipi : int;
       (** Deferred interrupt-handler cycles this core owes before its
           next dispatch, one bucket per cause. *)
@@ -92,15 +100,37 @@ type t = {
   mach : Machine.t;
   ids : hot_ids;
   quantum : int;
+  quantum64 : int64;
   cores : core array;
-  tbl : (tid, thread) Hashtbl.t;
+  mutable by_tid : thread array;  (** Slot [tid]; [nobody] when unused. *)
   mutable next_tid : int;
   mutable next_seq : int;
-  mutable round_end : int64;
+  mutable round_end : int;
 }
 
 type stop_reason = Idle | Condition | Rounds
 type costs = { free : int; locked : int; irq : int }
+
+(* What a lookup of an unknown tid finds: already [Done], so every
+   caller treats it like a finished thread. It is never scheduled, so
+   nothing writes to it. *)
+let nobody =
+  {
+    tid = 0;
+    name = "";
+    account = "";
+    cpu = 0;
+    weight = 1;
+    credit = 0;
+    st = Done;
+    cont = None;
+    pending = 0;
+    body = None;
+    burn_left = 0;
+    ready_at = far;
+    waiting_recv = false;
+    mailbox = [];
+  }
 
 let create ?(quantum = 1000) mach =
   if quantum < 1 then invalid_arg "Smp.create: quantum must be positive";
@@ -108,7 +138,7 @@ let create ?(quantum = 1000) mach =
     Array.init (Machine.ncpus mach) (fun i ->
         {
           hw = Machine.cpu mach i;
-          threads = [];
+          threads = [||];
           pending_ipi = 0;
           pending_irq = 0;
           pending_shootdown = 0;
@@ -127,16 +157,21 @@ let create ?(quantum = 1000) mach =
         id_shootdown_acks = Counter.id c "smp.shootdown.acks";
       };
     quantum;
+    quantum64 = Int64.of_int quantum;
     cores;
-    tbl = Hashtbl.create 32;
+    by_tid = Array.make 32 nobody;
     next_tid = 1;
     next_seq = 0;
-    round_end = 0L;
+    round_end = 0;
   }
 
 let machine t = t.mach
 let ncpus t = Array.length t.cores
 let credit_cap weight = 8 * weight
+let[@inline] now_of hw = Int64.to_int hw.Cpu.now
+
+let find t tid =
+  if tid > 0 && tid < t.next_tid then t.by_tid.(tid) else nobody
 
 let spawn t ~name ?account ~cpu ?(weight = 1) body =
   if cpu < 0 || cpu >= Array.length t.cores then
@@ -154,43 +189,41 @@ let spawn t ~name ?account ~cpu ?(weight = 1) body =
       credit = weight;
       st = Ready;
       cont = None;
-      pending = R_unit;
+      pending = 0;
       body = Some body;
       burn_left = 0;
-      ready_at = 0L;
+      ready_at = 0;
       waiting_recv = false;
       mailbox = [];
     }
   in
-  Hashtbl.add t.tbl tid th;
+  let cap = Array.length t.by_tid in
+  if tid >= cap then begin
+    let by_tid = Array.make (2 * cap) nobody in
+    Array.blit t.by_tid 0 by_tid 0 cap;
+    t.by_tid <- by_tid
+  end;
+  t.by_tid.(tid) <- th;
   let core = t.cores.(cpu) in
-  core.threads <- core.threads @ [ th ];
+  core.threads <- Array.append core.threads [| th |];
   Counter.incr t.mach.Machine.counters "smp.spawn";
   tid
 
 (* --- mailboxes --- *)
 
-let insert_mail th m =
-  let earlier x = (x.visible_at, x.mseq) <= (m.visible_at, m.mseq) in
-  let rec go = function
-    | x :: rest when earlier x -> x :: go rest
-    | l -> m :: l
-  in
-  th.mailbox <- go th.mailbox
-
-let pop_visible th now =
-  match th.mailbox with
-  | m :: rest when Int64.compare m.visible_at now <= 0 ->
-      th.mailbox <- rest;
-      Some m.mtag
-  | _ -> None
+let rec insert_mail m = function
+  | x :: rest
+    when x.visible_at < m.visible_at
+         || (x.visible_at = m.visible_at && x.mseq <= m.mseq) ->
+      x :: insert_mail m rest
+  | l -> m :: l
 
 let park_recv th now =
   th.waiting_recv <- true;
   match th.mailbox with
   | m :: _ ->
       th.st <- Ready;
-      th.ready_at <- (if Int64.compare m.visible_at now > 0 then m.visible_at else now)
+      th.ready_at <- (if m.visible_at > now then m.visible_at else now)
   | [] ->
       th.st <- Blocked;
       th.ready_at <- far
@@ -198,29 +231,30 @@ let park_recv th now =
 let deliver t dst ~visible ~tag =
   let m = { visible_at = visible; mseq = t.next_seq; mtag = tag } in
   t.next_seq <- t.next_seq + 1;
-  insert_mail dst m;
+  dst.mailbox <- insert_mail m dst.mailbox;
   if dst.waiting_recv then begin
     if dst.st = Blocked then dst.st <- Ready;
-    if Int64.compare visible dst.ready_at < 0 then dst.ready_at <- visible
+    if visible < dst.ready_at then dst.ready_at <- visible
   end
 
 let post t ?irq_cost ~dst tag =
-  match Hashtbl.find_opt t.tbl dst with
-  | None -> ()
-  | Some d when d.st = Done -> ()
-  | Some d ->
-      let cost =
-        Option.value irq_cost ~default:t.mach.Machine.arch.Arch.irq_entry_cost
-      in
-      let core = t.cores.(d.cpu) in
-      core.pending_irq <- core.pending_irq + cost;
-      Counter.incr_id t.mach.Machine.counters t.ids.id_irq;
-      deliver t d ~visible:(Engine.now t.mach.Machine.engine) ~tag
+  let d = find t dst in
+  if d.st <> Done then begin
+    let cost =
+      match irq_cost with
+      | Some c -> c
+      | None -> t.mach.Machine.arch.Arch.irq_entry_cost
+    in
+    let core = t.cores.(d.cpu) in
+    core.pending_irq <- core.pending_irq + cost;
+    Counter.incr_id t.mach.Machine.counters t.ids.id_irq;
+    deliver t d ~visible:(Int64.to_int (Engine.now t.mach.Machine.engine)) ~tag
+  end
 
 (* --- syscall-style handling --- *)
 
-let make_ready th ~at reply =
-  th.pending <- reply;
+let make_ready th ~at =
+  th.pending <- 0;
   th.st <- Ready;
   th.ready_at <- at
 
@@ -233,53 +267,52 @@ let rec handle t core th call =
       (* Pure computation: consumed one quantum-slice per dispatch so the
          per-core scheduler can preempt long stretches. *)
       th.burn_left <- max 0 n;
-      make_ready th ~at:hw.Cpu.now R_unit
+      make_ready th ~at:(now_of hw)
   | Yield ->
       Machine.burn_on t.mach ~cpu:hw yield_cost;
-      make_ready th ~at:t.round_end R_unit
-  | Recv -> park_recv th hw.Cpu.now
-  | Send { dst; tag; cycles } -> begin
+      make_ready th ~at:t.round_end
+  | Recv -> park_recv th (now_of hw)
+  | Send { dst; tag; cycles } ->
       Machine.burn_on t.mach ~cpu:hw cycles;
-      match Hashtbl.find_opt t.tbl dst with
-      | None | Some { st = Done; _ } ->
-          (* Dead-letter: the sender is not blocked on a corpse. *)
-          make_ready th ~at:hw.Cpu.now R_unit
-      | Some d ->
-          let visible =
-            if d.cpu = th.cpu then hw.Cpu.now
-            else if d.st = Blocked && d.waiting_recv then begin
-              (* Target core sleeps in recv: wake it with an IPI. The
-                 sender pays the post; the target core owes the delivery
-                 cost before its next dispatch. *)
-              Machine.burn_on t.mach ~cpu:hw ipi_post_cost;
-              let tcore = t.cores.(d.cpu) in
-              tcore.pending_ipi <- tcore.pending_ipi + arch.Arch.ipi_cost;
-              Counter.incr_id counters t.ids.id_ipi;
-              Int64.add hw.Cpu.now (Int64.of_int arch.Arch.ipi_cost)
-            end
-            else
-              (* Busy remote core polls its mailbox: the message is
-                 visible after one cache-line transfer. *)
-              Int64.add hw.Cpu.now (Int64.of_int cacheline_delay)
-          in
-          deliver t d ~visible ~tag;
-          make_ready th ~at:hw.Cpu.now R_unit
-    end
+      let d = find t dst in
+      (* A dead letter: the sender is not blocked on a corpse. *)
+      if d.st <> Done then begin
+        let visible =
+          if d.cpu = th.cpu then now_of hw
+          else if d.st = Blocked && d.waiting_recv then begin
+            (* Target core sleeps in recv: wake it with an IPI. The
+               sender pays the post; the target core owes the delivery
+               cost before its next dispatch. *)
+            Machine.burn_on t.mach ~cpu:hw ipi_post_cost;
+            let tcore = t.cores.(d.cpu) in
+            tcore.pending_ipi <- tcore.pending_ipi + arch.Arch.ipi_cost;
+            Counter.incr_id counters t.ids.id_ipi;
+            now_of hw + arch.Arch.ipi_cost
+          end
+          else
+            (* Busy remote core polls its mailbox: the message is
+               visible after one cache-line transfer. *)
+            now_of hw + cacheline_delay
+        in
+        deliver t d ~visible ~tag
+      end;
+      make_ready th ~at:(now_of hw)
   | Locked { lk; cycles } ->
       Machine.burn_on t.mach ~cpu:hw lock_base_cost;
       lk.acquisitions <- lk.acquisitions + 1;
-      let now0 = hw.Cpu.now in
-      if Int64.compare lk.free_at now0 > 0 then begin
-        let spin = Int64.sub lk.free_at now0 in
+      let now0 = now_of hw in
+      if lk.free_at > now0 then begin
+        let spin = lk.free_at - now0 in
         lk.contended <- lk.contended + 1;
-        lk.spin_cycles <- Int64.add lk.spin_cycles spin;
-        Accounts.charge_on t.mach.Machine.accounts ~cpu:th.cpu "smp.spin" spin;
-        Counter.add_id counters t.ids.id_spin_cycles (Int64.to_int spin);
-        Cpu.advance hw (Int64.to_int spin)
+        lk.spin_cycles <- lk.spin_cycles + spin;
+        Accounts.charge_on t.mach.Machine.accounts ~cpu:th.cpu "smp.spin"
+          (Int64.of_int spin);
+        Counter.add_id counters t.ids.id_spin_cycles spin;
+        Cpu.advance hw spin
       end;
       Machine.burn_on t.mach ~cpu:hw cycles;
-      lk.free_at <- hw.Cpu.now;
-      make_ready th ~at:hw.Cpu.now R_unit
+      lk.free_at <- now_of hw;
+      make_ready th ~at:(now_of hw)
   | Shootdown { pages } ->
       let n = Array.length t.cores in
       Counter.incr_id counters t.ids.id_shootdown;
@@ -293,16 +326,16 @@ let rec handle t core th call =
         else shootdown_base_cost
       in
       Machine.burn_on t.mach ~cpu:hw cost;
-      Array.iter
-        (fun c ->
-          if c.hw.Cpu.id <> th.cpu then begin
-            c.pending_shootdown <-
-              c.pending_shootdown + arch.Arch.shootdown_ack_cost;
-            Tlb.flush_all c.hw.Cpu.tlb;
-            Counter.incr_id counters t.ids.id_shootdown_acks
-          end)
-        t.cores;
-      make_ready th ~at:hw.Cpu.now R_unit
+      for i = 0 to n - 1 do
+        let c = t.cores.(i) in
+        if c.hw.Cpu.id <> th.cpu then begin
+          c.pending_shootdown <-
+            c.pending_shootdown + arch.Arch.shootdown_ack_cost;
+          Tlb.flush_all c.hw.Cpu.tlb;
+          Counter.incr_id counters t.ids.id_shootdown_acks
+        end
+      done;
+      make_ready th ~at:(now_of hw)
 
 and start_fiber t core th body =
   let open Effect.Deep in
@@ -340,12 +373,14 @@ let dispatch t core th =
   th.st <- Running;
   Accounts.switch_to t.mach.Machine.accounts th.account;
   if th.waiting_recv then begin
-    match pop_visible th core.hw.Cpu.now with
-    | Some tag ->
+    let now = now_of core.hw in
+    match th.mailbox with
+    | m :: rest when m.visible_at <= now ->
+        th.mailbox <- rest;
         th.waiting_recv <- false;
-        th.pending <- R_msg tag;
+        th.pending <- m.mtag;
         continue_thread t core th
-    | None -> park_recv th core.hw.Cpu.now
+    | _ -> park_recv th now
   end
   else if th.burn_left > 0 then begin
     let step = min th.burn_left t.quantum in
@@ -353,165 +388,176 @@ let dispatch t core th =
     th.burn_left <- th.burn_left - step;
     if th.st = Running then begin
       th.st <- Ready;
-      th.ready_at <- core.hw.Cpu.now
+      th.ready_at <- now_of core.hw
     end
   end
   else continue_thread t core th
 
 (* --- per-core scheduling --- *)
 
+(* Index of the Ready thread, runnable at [now], with the most credit;
+   ties go to the earliest spawned. -1 when none is. *)
 let pick core now =
-  List.fold_left
-    (fun best th ->
-      if th.st = Ready && Int64.compare th.ready_at now <= 0 then
-        match best with
-        | Some b when b.credit >= th.credit -> best
-        | Some _ | None -> Some th
-      else best)
-    None core.threads
+  let best = ref (-1) in
+  let threads = core.threads in
+  for i = 0 to Array.length threads - 1 do
+    let th = threads.(i) in
+    if th.st = Ready && th.ready_at <= now
+       && (!best < 0 || th.credit > threads.(!best).credit)
+    then best := i
+  done;
+  !best
 
 let earliest_ready core =
-  List.fold_left
-    (fun acc th ->
-      if th.st = Ready then
-        match acc with
-        | Some a when Int64.compare a th.ready_at <= 0 -> acc
-        | Some _ | None -> Some th.ready_at
-      else acc)
-    None core.threads
+  let at = ref far in
+  let threads = core.threads in
+  for i = 0 to Array.length threads - 1 do
+    let th = threads.(i) in
+    if th.st = Ready && th.ready_at < !at then at := th.ready_at
+  done;
+  !at
 
+(* Settle one bucket of deferred cross-core interrupt work; true when
+   there was any. *)
+let pay t core amount account =
+  if amount > 0 then begin
+    Accounts.charge_on t.mach.Machine.accounts ~cpu:core.hw.Cpu.id account
+      (Int64.of_int amount);
+    Cpu.advance core.hw amount;
+    true
+  end
+  else false
+
+(* [round_start] is the engine clock's own boxed value, so syncing a
+   core to it allocates nothing. *)
 let run_core t core ~round_start =
   let hw = core.hw in
   if Int64.compare hw.Cpu.now round_start < 0 then hw.Cpu.now <- round_start;
-  (* Settle deferred cross-core interrupt work before dispatching. *)
-  let did = ref false in
-  let pay amount account =
-    if amount > 0 then begin
-      Accounts.charge_on t.mach.Machine.accounts ~cpu:hw.Cpu.id account
-        (Int64.of_int amount);
-      Cpu.advance hw amount;
-      (* Absorbing deferred interrupt work is progress: it can push this
-         core past the round end, and the global loop must keep burning
-         quanta until the core re-enters a round window. *)
+  (* Settle deferred cross-core interrupt work before dispatching.
+     Absorbing it is progress: it can push this core past the round
+     end, and the global loop must keep burning quanta until the core
+     re-enters a round window. *)
+  let paid_ipi = pay t core core.pending_ipi "smp.ipi" in
+  core.pending_ipi <- 0;
+  let paid_irq = pay t core core.pending_irq "smp.irq" in
+  core.pending_irq <- 0;
+  let paid_shootdown = pay t core core.pending_shootdown "smp.shootdown" in
+  core.pending_shootdown <- 0;
+  let did = ref (paid_ipi || paid_irq || paid_shootdown) in
+  let go = ref true in
+  while !go && now_of hw < t.round_end do
+    let now = now_of hw in
+    let i = pick core now in
+    if i >= 0 then begin
+      let th = core.threads.(i) in
+      dispatch t core th;
+      th.credit <- th.credit - (now_of hw - now);
       did := true
     end
-  in
-  pay core.pending_ipi "smp.ipi";
-  core.pending_ipi <- 0;
-  pay core.pending_irq "smp.irq";
-  core.pending_irq <- 0;
-  pay core.pending_shootdown "smp.shootdown";
-  core.pending_shootdown <- 0;
-  let rec loop () =
-    if Int64.compare hw.Cpu.now t.round_end < 0 then begin
-      match pick core hw.Cpu.now with
-      | Some th ->
-          let before = hw.Cpu.now in
-          dispatch t core th;
-          let used = Int64.to_int (Int64.sub hw.Cpu.now before) in
-          th.credit <- th.credit - used;
-          did := true;
-          loop ()
-      | None -> (
-          (* Nobody runnable right now; skip forward within the quantum
-             if someone becomes runnable before it ends. *)
-          match earliest_ready core with
-          | Some at
-            when Int64.compare at t.round_end < 0
-                 && Int64.compare at hw.Cpu.now > 0 ->
-              hw.Cpu.now <- at;
-              loop ()
-          | Some _ | None -> ())
+    else begin
+      (* Nobody runnable right now; skip forward within the quantum if
+         someone becomes runnable before it ends. *)
+      let at = earliest_ready core in
+      if at < t.round_end && at > now then hw.Cpu.now <- Int64.of_int at
+      else go := false
     end
-  in
-  loop ();
+  done;
   !did
+
+(* A core with no thread and no deferred interrupt work has nothing to
+   do in a round; only its clock would move, and [run_core] re-syncs
+   that on the next round it runs. *)
+let has_work core =
+  Array.length core.threads > 0
+  || core.pending_ipi > 0 || core.pending_irq > 0 || core.pending_shootdown > 0
+
+let run_round t ~round_start =
+  let did = ref false in
+  for c = 0 to Array.length t.cores - 1 do
+    let core = t.cores.(c) in
+    if has_work core && run_core t core ~round_start then did := true
+  done;
+  !did
+
+let refill t =
+  for c = 0 to Array.length t.cores - 1 do
+    let threads = t.cores.(c).threads in
+    for i = 0 to Array.length threads - 1 do
+      let th = threads.(i) in
+      if th.st <> Done then
+        th.credit <- min (credit_cap th.weight) (th.credit + th.weight)
+    done
+  done
+
+(* Earliest finite wake-up among parked-but-scheduled threads, for
+   skipping dead quanta; [far] when there is none. A thread cannot run
+   before its own core's local clock either — a core that overshot the
+   round (long atomic op, deferred IPI work) drags its threads' effective
+   wake-up with it, so the engine must catch up to the core, not the
+   reverse. *)
+let next_wakeup t =
+  let best = ref far in
+  for c = 0 to Array.length t.cores - 1 do
+    let core = t.cores.(c) in
+    let now = now_of core.hw in
+    for i = 0 to Array.length core.threads - 1 do
+      let th = core.threads.(i) in
+      if th.st = Ready && th.ready_at < far then begin
+        let cand = if now > th.ready_at then now else th.ready_at in
+        if cand < !best then best := cand
+      end
+    done
+  done;
+  !best
 
 let run ?until ?(max_rounds = 2_000_000) ?(tickless = true) t =
   let eng = t.mach.Machine.engine in
-  let stop () = match until with Some f -> f () | None -> false in
-  let refill () =
-    Array.iter
-      (fun core ->
-        List.iter
-          (fun th ->
-            if th.st <> Done then
-              th.credit <- min (credit_cap th.weight) (th.credit + th.weight))
-          core.threads)
-      t.cores
-  in
-  (* Earliest finite wake-up among parked-but-scheduled threads, for
-     skipping dead quanta. A thread cannot run before its own core's
-     local clock either — a core that overshot the round (long atomic
-     op, deferred IPI work) drags its threads' effective wake-up with
-     it, so the engine must catch up to the core, not the reverse. *)
-  let next_wakeup () =
-    Array.fold_left
-      (fun acc core ->
-        List.fold_left
-          (fun acc th ->
-            if th.st = Ready && Int64.compare th.ready_at far < 0 then
-              let cand =
-                if Int64.compare core.hw.Cpu.now th.ready_at > 0 then
-                  core.hw.Cpu.now
-                else th.ready_at
-              in
-              match acc with
-              | Some a when Int64.compare a cand <= 0 -> acc
-              | Some _ | None -> Some cand
-            else acc)
-          acc core.threads)
-      None t.cores
-  in
-  let rec loop rounds =
-    if stop () then Condition
+  (* [hop]: this round is an intermediate stop of a stepped gap
+     crossing, which the tickless jump does not make, so it refills no
+     credit either. *)
+  let rec loop rounds ~hop =
+    if (match until with Some f -> f () | None -> false) then Condition
     else if rounds >= max_rounds then Rounds
     else begin
       let round_start = Engine.now eng in
-      t.round_end <- Int64.add round_start (Int64.of_int t.quantum);
-      refill ();
-      let did = ref false in
-      Array.iter
-        (fun core -> if run_core t core ~round_start then did := true)
-        t.cores;
-      if !did then begin
-        Engine.burn eng (Int64.of_int t.quantum);
-        loop (rounds + 1)
+      t.round_end <- Int64.to_int round_start + t.quantum;
+      if not hop then refill t;
+      if run_round t ~round_start then begin
+        Engine.burn eng t.quantum64;
+        loop (rounds + 1) ~hop:false
       end
       else
-        let target =
-          match (Engine.next_due eng, next_wakeup ()) with
-          | None, None -> None
-          | (Some _ as a), None -> a
-          | None, (Some _ as b) -> b
-          | Some a, Some b -> Some (if Int64.compare a b <= 0 then a else b)
-        in
-        match target with
-        | None -> Idle
-        | Some tgt ->
-            let delta = Int64.sub tgt (Engine.now eng) in
-            (* Always at least one cycle so the loop can never stall on a
-               stale target. With [tickless] off the gap is crossed in
-               quantum-sized hops that stop exactly at the target — same
-               clock at every dispatch, just more rounds. The test
-               suite's equivalence property leans on this. *)
-            let delta = if Int64.compare delta 1L > 0 then delta else 1L in
-            let step =
-              if tickless then begin
-                if Int64.compare delta (Int64.of_int t.quantum) > 0 then
-                  Engine.note_idle eng
-                    (Int64.sub delta (Int64.of_int t.quantum));
-                delta
-              end
-              else if Int64.compare delta (Int64.of_int t.quantum) > 0 then
-                Int64.of_int t.quantum
-              else delta
-            in
-            Engine.burn eng step;
-            loop (rounds + 1)
+        let due = Int64.to_int (Engine.next_due_or eng far64) in
+        let wake = next_wakeup t in
+        let target = if due <= wake then due else wake in
+        if target = far then Idle
+        else begin
+          (* Always at least one cycle so the loop can never stall on a
+             stale target. With [tickless] off the gap is crossed in
+             quantum-sized hops that stop exactly at the target — same
+             clock at every dispatch, just more rounds. The test
+             suite's equivalence property leans on this. The odd
+             remainder goes first: a round starting less than a quantum
+             before a wake-up would run it inside that round, on a round
+             grid the tickless jump never uses. *)
+          let delta = max 1 (target - Int64.to_int (Engine.now eng)) in
+          let step =
+            if tickless then begin
+              if delta > t.quantum then
+                Engine.note_idle eng (Int64.of_int (delta - t.quantum));
+              delta
+            end
+            else if delta <= t.quantum then delta
+            else
+              let rem = delta mod t.quantum in
+              if rem = 0 then t.quantum else rem
+          in
+          Engine.burn eng (Int64.of_int step);
+          loop (rounds + 1) ~hop:(step < delta)
+        end
     end
   in
-  let reason = loop 0 in
+  let reason = loop 0 ~hop:false in
   Accounts.switch_to t.mach.Machine.accounts "idle";
   reason
 
@@ -521,8 +567,7 @@ let invoke call = Effect.perform (Invoke call)
 let burn n = ignore (invoke (Burn n))
 let yield () = ignore (invoke Yield)
 
-let recv () =
-  match invoke Recv with R_msg tag -> tag | R_unit -> -1
+let recv () = invoke Recv
 
 let send ~dst ~tag ~cycles = ignore (invoke (Send { dst; tag; cycles }))
 let locked lk ~cycles = ignore (invoke (Locked { lk; cycles }))
@@ -531,14 +576,10 @@ let shootdown ~pages = ignore (invoke (Shootdown { pages }))
 (* --- locks --- *)
 
 let lock_create _t ~name =
-  { lname = name; free_at = 0L; acquisitions = 0; contended = 0; spin_cycles = 0L }
+  { lname = name; free_at = 0; acquisitions = 0; contended = 0; spin_cycles = 0 }
 
 let lock_name lk = lk.lname
 let lock_acquisitions lk = lk.acquisitions
 let lock_contended lk = lk.contended
-let lock_spin_cycles lk = lk.spin_cycles
-
-let is_done t tid =
-  match Hashtbl.find_opt t.tbl tid with
-  | Some th -> th.st = Done
-  | None -> true
+let lock_spin_cycles lk = Int64.of_int lk.spin_cycles
+let is_done t tid = (find t tid).st = Done

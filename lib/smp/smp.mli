@@ -68,7 +68,8 @@ val run :
     core is blocked are skipped straight to the next engine event or
     message visibility, so idle virtual time costs no host time and is
     charged to no account. [~tickless:false] crosses those same gaps in
-    quantum-sized hops that stop exactly at the target instead — every
+    quantum-sized hops that stop exactly at the target instead (the odd
+    remainder first; the intermediate hops refill no credit) — every
     dispatch sees the identical clock, it just costs more rounds; the
     test suite uses it as the reference for the tickless-equivalence
     property (E21). *)

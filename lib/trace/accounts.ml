@@ -1,77 +1,98 @@
-type cell = { mutable total : int64; mutable by_cpu : int64 array }
+(* Balances are native ints inside (a cycle count never nears 2^62) and
+   become int64 only at the API, so a charge boxes nothing. *)
+type cell = { mutable total : int; mutable by_cpu : int array }
 
 type t = {
   balances : (string, cell) Hashtbl.t;
   mutable current : string;
+  mutable cur : cell;  (* [current]'s cell, resolved at switch time *)
   mutable max_cpu : int;  (* highest cpu index ever charged *)
 }
 
 let idle = "idle"
-let create () = { balances = Hashtbl.create 16; current = idle; max_cpu = 0 }
 
+(* Cells are created on first use, by a charge or a switch, and never
+   removed; a cell never charged holds zeros, which every reader below
+   skips or sums away. *)
 let cell t name =
-  match Hashtbl.find_opt t.balances name with
-  | Some c -> c
-  | None ->
-      let c = { total = 0L; by_cpu = Array.make 1 0L } in
+  match Hashtbl.find t.balances name with
+  | c -> c
+  | exception Not_found ->
+      let c = { total = 0; by_cpu = Array.make 1 0 } in
       Hashtbl.add t.balances name c;
       c
 
-let ensure_cpu c cpu =
-  let n = Array.length c.by_cpu in
-  if cpu >= n then begin
-    let by_cpu = Array.make (cpu + 1) 0L in
-    Array.blit c.by_cpu 0 by_cpu 0 n;
-    c.by_cpu <- by_cpu
-  end
+let create () =
+  let balances = Hashtbl.create 16 in
+  let c = { total = 0; by_cpu = Array.make 1 0 } in
+  Hashtbl.add balances idle c;
+  { balances; current = idle; cur = c; max_cpu = 0 }
 
-let charge_on t ~cpu name cycles =
+let charge_cell t c ~cpu cycles =
   if Int64.compare cycles 0L < 0 then invalid_arg "Accounts.charge: negative";
   if cpu < 0 then invalid_arg "Accounts.charge: negative cpu";
-  let c = cell t name in
-  ensure_cpu c cpu;
-  c.total <- Int64.add c.total cycles;
-  c.by_cpu.(cpu) <- Int64.add c.by_cpu.(cpu) cycles;
+  let n = Array.length c.by_cpu in
+  if cpu >= n then begin
+    let by_cpu = Array.make (cpu + 1) 0 in
+    Array.blit c.by_cpu 0 by_cpu 0 n;
+    c.by_cpu <- by_cpu
+  end;
+  let v = Int64.to_int cycles in
+  c.total <- c.total + v;
+  c.by_cpu.(cpu) <- c.by_cpu.(cpu) + v;
   if cpu > t.max_cpu then t.max_cpu <- cpu
 
+let charge_on t ~cpu name cycles = charge_cell t (cell t name) ~cpu cycles
 let charge t name cycles = charge_on t ~cpu:0 name cycles
-let charge_current t cycles = charge t t.current cycles
-let charge_current_on t ~cpu cycles = charge_on t ~cpu t.current cycles
-let switch_to t name = t.current <- name
-let current t = t.current
+let charge_current t cycles = charge_cell t t.cur ~cpu:0 cycles
+let charge_current_on t ~cpu cycles = charge_cell t t.cur ~cpu cycles
 
-let with_account t name f =
-  let previous = t.current in
-  t.current <- name;
-  Fun.protect ~finally:(fun () -> t.current <- previous) f
+(* Re-selecting the very string already current (a thread dispatched
+   again on its core) skips the lookup. *)
+let switch_to t name =
+  if name != t.current then begin
+    t.current <- name;
+    t.cur <- cell t name
+  end
+
+let current t = t.current
 
 (* Closure-free account switching for hot paths: callers save the
    previous account and restore it themselves. Unlike {!with_account}
    there is no [Fun.protect] — only use where the charged section
    cannot raise (plain burns), or restore from an exception handler. *)
-let[@inline] swap t name =
+let swap t name =
   let previous = t.current in
-  t.current <- name;
+  switch_to t name;
   previous
 
-let[@inline] restore t previous = t.current <- previous
+let restore t previous = switch_to t previous
+
+let with_account t name f =
+  let previous = swap t name in
+  Fun.protect ~finally:(fun () -> restore t previous) f
 
 let balance t name =
-  match Hashtbl.find_opt t.balances name with Some c -> c.total | None -> 0L
+  match Hashtbl.find_opt t.balances name with
+  | Some c -> Int64.of_int c.total
+  | None -> 0L
 
 let cpu_balance t ~cpu name =
   match Hashtbl.find_opt t.balances name with
-  | Some c when cpu >= 0 && cpu < Array.length c.by_cpu -> c.by_cpu.(cpu)
+  | Some c when cpu >= 0 && cpu < Array.length c.by_cpu ->
+      Int64.of_int c.by_cpu.(cpu)
   | Some _ | None -> 0L
 
 let cpus_seen t = t.max_cpu + 1
 
-let total t = Hashtbl.fold (fun _ c acc -> Int64.add acc c.total) t.balances 0L
+let total t =
+  Int64.of_int (Hashtbl.fold (fun _ c acc -> acc + c.total) t.balances 0)
 
 let busy_total t =
-  Hashtbl.fold
-    (fun name c acc -> if name = idle then acc else Int64.add acc c.total)
-    t.balances 0L
+  Int64.of_int
+    (Hashtbl.fold
+       (fun name c acc -> if name = idle then acc else acc + c.total)
+       t.balances 0)
 
 let share t name =
   let busy = busy_total t in
@@ -81,26 +102,24 @@ let share t name =
 let reset t =
   Hashtbl.iter
     (fun _ c ->
-      c.total <- 0L;
-      Array.fill c.by_cpu 0 (Array.length c.by_cpu) 0L)
+      c.total <- 0;
+      Array.fill c.by_cpu 0 (Array.length c.by_cpu) 0)
     t.balances;
-  t.current <- idle;
+  switch_to t idle;
   t.max_cpu <- 0
 
 let to_list t =
   Hashtbl.fold
     (fun name c acc ->
-      if Int64.compare c.total 0L <> 0 then (name, c.total) :: acc else acc)
+      if c.total <> 0 then (name, Int64.of_int c.total) :: acc else acc)
     t.balances []
   |> List.sort compare
 
 let to_cpu_list t ~cpu =
   Hashtbl.fold
     (fun name c acc ->
-      let v =
-        if cpu >= 0 && cpu < Array.length c.by_cpu then c.by_cpu.(cpu) else 0L
-      in
-      if Int64.compare v 0L <> 0 then (name, v) :: acc else acc)
+      let v = if cpu >= 0 && cpu < Array.length c.by_cpu then c.by_cpu.(cpu) else 0 in
+      if v <> 0 then (name, Int64.of_int v) :: acc else acc)
     t.balances []
   |> List.sort compare
 

@@ -124,6 +124,26 @@ let test_shootdown_costs () =
   check int64 "remote ack cycles charged" (Int64.of_int (6 * ack))
     (Accounts.balance mach.Machine.accounts "smp.shootdown")
 
+let test_shootdown_reaches_empty_cores () =
+  (* Cores 2-3 have no thread, so the round loop may skip them — but
+     not while they owe a shootdown ack. *)
+  let mach = Machine.create ~cpus:4 ~seed:1L () in
+  let smp = Smp.create mach in
+  ignore
+    (Smp.spawn smp ~name:"mapper" ~cpu:0 (fun () -> Smp.shootdown ~pages:8));
+  ignore (Smp.spawn smp ~name:"busy1" ~cpu:1 (fun () -> Smp.burn 2_000));
+  ignore (Smp.run smp);
+  let ack = Int64.of_int mach.Machine.arch.Arch.shootdown_ack_cost in
+  let acc = mach.Machine.accounts in
+  for cpu = 1 to 3 do
+    check int64
+      (Printf.sprintf "cpu%d paid its ack" cpu)
+      ack
+      (Accounts.cpu_balance acc ~cpu "smp.shootdown")
+  done;
+  check int64 "initiator owes no ack" 0L
+    (Accounts.cpu_balance acc ~cpu:0 "smp.shootdown")
+
 let test_equal_due_time_ordering () =
   (* Two senders on different cores fire at the same virtual instant; the
      receiver must see them in a stable, reproducible order. *)
@@ -191,12 +211,13 @@ let test_e14_same_seed_identical () =
    identical to the quantum-stepped reference ([~tickless:false]): same
    stop reason, final clock, counters, accounts (total and per-CPU) and
    the same messages received in the same order. Randomized multi-core
-   workloads of burns, sends, receives, yields and delayed device
-   interrupts; the interrupts arm engine events tens of quanta out so
-   real idle gaps get jumped. *)
+   workloads of burns, sends, receives, TLB shootdowns, yields and
+   delayed device interrupts; the interrupts arm engine events tens of
+   quanta out so real idle gaps get jumped. One extra core has no
+   thread: it only ever runs to pay its shootdown acks. *)
 
 let run_random_workload ~tickless ~cpus ~ops =
-  let mach = Machine.create ~cpus ~seed:42L () in
+  let mach = Machine.create ~cpus:(cpus + 1) ~seed:42L () in
   let smp = Smp.create mach in
   let nthreads = cpus + 1 in
   let tids = Array.make nthreads 0 in
@@ -224,6 +245,7 @@ let run_random_workload ~tickless ~cpus ~ops =
                     ~tag:((i * 10_000) + amount)
                     ~cycles:(50 + amount)
               | 2 -> trace := (i, Smp.recv ()) :: !trace
+              | 3 -> Smp.shootdown ~pages:(1 + (amount mod 16))
               | _ -> Smp.yield ())
             script)
   done;
@@ -238,7 +260,8 @@ let run_random_workload ~tickless ~cpus ~ops =
     Machine.now mach,
     Counter.to_list mach.Machine.counters,
     Accounts.to_list mach.Machine.accounts,
-    List.init cpus (fun c -> Accounts.to_cpu_list mach.Machine.accounts ~cpu:c),
+    List.init (cpus + 1) (fun c ->
+        Accounts.to_cpu_list mach.Machine.accounts ~cpu:c),
     List.rev !trace )
 
 let prop_tickless_equivalence =
@@ -249,7 +272,7 @@ let prop_tickless_equivalence =
       pair (int_range 2 4)
         (list_of_size
            Gen.(10 -- 50)
-           (triple (int_bound 3) (int_bound 7) (int_bound 900))))
+           (triple (int_bound 4) (int_bound 7) (int_bound 900))))
     (fun (cpus, ops) ->
       run_random_workload ~tickless:true ~cpus ~ops
       = run_random_workload ~tickless:false ~cpus ~ops)
@@ -271,6 +294,8 @@ let suite =
     Alcotest.test_case "spinlock contention deterministic" `Quick
       test_spinlock_contention;
     Alcotest.test_case "shootdown broadcast costs" `Quick test_shootdown_costs;
+    Alcotest.test_case "shootdown acks paid by empty cores" `Quick
+      test_shootdown_reaches_empty_cores;
     Alcotest.test_case "equal due-time ordering stable" `Quick
       test_equal_due_time_ordering;
     Alcotest.test_case "burn preemptible by quantum" `Quick

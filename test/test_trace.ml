@@ -104,12 +104,61 @@ let test_accounts_with_account_restores () =
   check_i64 "vmm charged" 5L (Accounts.balance a "vmm")
 
 let test_accounts_with_account_restores_on_exception () =
+  (* The current account's cell is resolved at switch time, so after a
+     restore the charges must land in the restored account, not in the
+     one switched away from. *)
   let a = Accounts.create () in
   Accounts.switch_to a "guest";
   (try
-     Accounts.with_account a "vmm" (fun () -> failwith "boom")
+     Accounts.with_account a "vmm" (fun () ->
+         Accounts.charge_current a 5L;
+         failwith "boom")
    with Failure _ -> ());
-  Alcotest.(check string) "restored after raise" "guest" (Accounts.current a)
+  Alcotest.(check string) "restored after raise" "guest" (Accounts.current a);
+  Accounts.charge_current a 7L;
+  check_i64 "vmm keeps its charge" 5L (Accounts.balance a "vmm");
+  check_i64 "restored account charged" 7L (Accounts.balance a "guest");
+  let prev = Accounts.swap a "dom0" in
+  Alcotest.(check string) "swap returns the previous" "guest" prev;
+  Accounts.charge_current_on a ~cpu:2 11L;
+  Accounts.restore a prev;
+  Alcotest.(check string) "restored after swap" "guest" (Accounts.current a);
+  Accounts.charge_current_on a ~cpu:2 13L;
+  check_i64 "dom0 on cpu2" 11L (Accounts.cpu_balance a ~cpu:2 "dom0");
+  check_i64 "guest on cpu2" 13L (Accounts.cpu_balance a ~cpu:2 "guest")
+
+let test_accounts_switch_without_charge_invisible () =
+  (* Selecting an account creates its cell; until something is charged
+     to it, no reader may see it. *)
+  let a = Accounts.create () in
+  Accounts.charge_on a ~cpu:1 "dom0" 40L;
+  Accounts.charge a "guest" 2L;
+  let snapshot () =
+    ( Accounts.to_list a,
+      List.init 4 (fun cpu -> Accounts.to_cpu_list a ~cpu),
+      Accounts.cpus_seen a,
+      Accounts.total a )
+  in
+  let before = snapshot () in
+  Accounts.switch_to a "never.charged";
+  Accounts.restore a (Accounts.swap a "also.never");
+  Accounts.switch_to a "idle";
+  check_bool "listings, cpus_seen and total unchanged" true
+    (before = snapshot ());
+  check_i64 "no balance" 0L (Accounts.balance a "never.charged");
+  Alcotest.(check (float 1e-9)) "no share" 0.0 (Accounts.share a "also.never")
+
+let test_accounts_charge_allocation_free () =
+  let a = Accounts.create () in
+  Accounts.switch_to a "srv";
+  Accounts.charge_current_on a ~cpu:3 1L (* sizes the per-cpu buckets *);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Accounts.charge_current_on a ~cpu:3 2L
+  done;
+  let w1 = Gc.minor_words () in
+  check_int "minor words for 10k charges" 0 (int_of_float (w1 -. w0));
+  check_i64 "all charged" 20_001L (Accounts.cpu_balance a ~cpu:3 "srv")
 
 let test_accounts_negative_charge_rejected () =
   let a = Accounts.create () in
@@ -142,6 +191,10 @@ let suite =
       test_accounts_with_account_restores;
     Alcotest.test_case "accounts: restores on exception" `Quick
       test_accounts_with_account_restores_on_exception;
+    Alcotest.test_case "accounts: uncharged switch invisible" `Quick
+      test_accounts_switch_without_charge_invisible;
+    Alcotest.test_case "accounts: charge allocation-free" `Quick
+      test_accounts_charge_allocation_free;
     Alcotest.test_case "accounts: negative rejected" `Quick
       test_accounts_negative_charge_rejected;
     Alcotest.test_case "accounts: empty share" `Quick test_accounts_share_empty;
