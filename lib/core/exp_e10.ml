@@ -59,8 +59,8 @@ let run_xen_direct ~quick =
 let run_xen_parallax ~quick =
   let mach = Machine.create ~seed:51L () in
   let h = Hypervisor.create mach in
-  let upstream = Blk_channel.create () in
-  let chan = Blk_channel.create () in
+  let upstream = Blk_channel.create ~index:0 () in
+  let chan = Blk_channel.create ~index:1 () in
   let dom0 =
     Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
       (Dom0.body mach ~blk:[ upstream ])

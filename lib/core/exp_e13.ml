@@ -1,14 +1,9 @@
 module Machine = Vmk_hw.Machine
 module Disk = Vmk_hw.Disk
 module Counter = Vmk_trace.Counter
-module Rng = Vmk_sim.Rng
 module Table = Vmk_stats.Table
 module Kernel = Vmk_ukernel.Kernel
-module Sysif = Vmk_ukernel.Sysif
-module Svc = Vmk_ukernel.Svc
 module Watchdog = Vmk_ukernel.Watchdog
-module Net_server = Vmk_ukernel.Net_server
-module Blk_server = Vmk_ukernel.Blk_server
 module Hypervisor = Vmk_vmm.Hypervisor
 module Blk_channel = Vmk_vmm.Blk_channel
 module Dom0 = Vmk_vmm.Dom0
@@ -60,14 +55,9 @@ type metrics = {
 
 let metrics_of ~stack ~rate ~counters ~retries_key ~gaveup_key ~recoveries ~log
     ~finished (stats : Apps.stats) =
-  let chronological = List.rev log in
   let recovery_latency =
     if rate = 0 then None
-    else
-      List.find_map
-        (fun (t, ok) ->
-          if ok && t > kill_at then Some (Int64.sub t kill_at) else None)
-        chronological
+    else Scenario.first_after kill_at (Scenario.ok_times (List.rev log))
   in
   {
     stack;
@@ -87,76 +77,31 @@ let l4_run ~quick ~rate =
   let ops = if quick then 16 else 32 in
   let mach = Machine.create ~seed:31L () in
   let k = Kernel.create mach in
-  let blk_spec () =
-    {
-      Sysif.name = "blk-server";
-      priority = 2;
-      same_space = false;
-      pager = None;
-      body = (fun () -> Blk_server.body mach ());
-    }
-  in
-  let net_spec () =
-    {
-      Sysif.name = "net-server";
-      priority = 2;
-      same_space = false;
-      pager = None;
-      body = (fun () -> Net_server.body mach ());
-    }
-  in
-  let blk_tid =
-    Kernel.spawn k ~name:"blk-server" ~priority:2 ~account:Blk_server.account
-      (fun () -> Blk_server.body mach ())
-  in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ())
-  in
-  let blk_entry = Svc.entry ~name:"blk" blk_tid in
-  let net_entry = Svc.entry ~name:"net" net_tid in
-  let wd = Watchdog.create () in
-  let _wd_tid =
-    Kernel.spawn k ~name:"watchdog" ~priority:1 ~account:"watchdog"
-      (Watchdog.body mach wd ~period:1_000_000L ~ping_timeout:200_000L
-         [ (blk_entry, blk_spec); (net_entry, net_spec) ])
-  in
-  let retry =
-    Port_l4.retry ~mach ~attempts:8 ~timeout:1_000_000L ~base_delay:100_000L
-      (Rng.split mach.Machine.rng)
-  in
+  let rig = Scenario.supervised_l4 mach k in
   let gk =
-    Kernel.spawn k ~name:"guest-kernel" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ~retry ~net_svc:net_entry ~blk_svc:blk_entry
-         ~net:(Some net_tid) ~blk:(Some blk_tid))
+    Scenario.recovering_guest_kernel rig ~name:"guest-kernel" ~net:true
+      ~blk:true
   in
   let stats = Apps.stats () in
   let log = ref [] in
   let finished = ref false in
   let _client =
     Kernel.spawn k ~name:"client" ~account:"client" (fun () ->
-        Port_l4.app_body mach ~gk
-          (Apps.blk_retry_stream ~stats
-             ~now:(fun () -> Machine.now mach)
-             ~log:(fun entry -> log := entry :: !log)
-             ~ops ~span:24 ~seed:7 ~pace:150_000 ())
-          ();
+        Port_l4.app_body mach ~gk (Scenario.blk_probe mach ~stats ~log ~ops) ();
         finished := true)
   in
   let armed =
     Faults.arm
       (plan_for ~rate ~target:"blk-server")
-      mach
-      ~kill:(fun target ->
-        if target = "blk-server" then Kernel.kill k (Svc.tid blk_entry))
+      mach ~kill:(Scenario.kill_server rig)
   in
   ignore (Kernel.run k ~until:(fun () -> !finished));
-  Watchdog.stop wd;
+  Watchdog.stop rig.Scenario.watchdog;
   ignore (Kernel.run k);
   Faults.disarm armed mach;
   metrics_of ~stack:"L4" ~rate ~counters:mach.Machine.counters
     ~retries_key:"l4.retries" ~gaveup_key:"l4.gaveup"
-    ~recoveries:(List.length (Watchdog.respawns wd))
+    ~recoveries:(List.length (Watchdog.respawns rig.Scenario.watchdog))
     ~log:!log ~finished:!finished stats
 
 (* --- VMM stack: supervisor restart + frontend reconnect --- *)
@@ -165,19 +110,8 @@ let vmm_run ~quick ~rate =
   let ops = if quick then 16 else 32 in
   let mach = Machine.create ~seed:32L () in
   let h = Hypervisor.create mach in
-  let blk_chan = Blk_channel.create () in
-  let make_dom0 ~restart () =
-    Dom0.body mach ~connect_timeout:10_000_000L ~generation:restart
-      ~blk:[ blk_chan ] ()
-  in
-  let dom0 =
-    Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
-      (make_dom0 ~restart:0)
-  in
-  let sup =
-    Hypervisor.supervise h ~name:Dom0.name ~privileged:true ~period:1_000_000L
-      ~make_body:make_dom0 dom0
-  in
+  let blk_chan = Blk_channel.create ~index:1 () in
+  let dom0, sup = Scenario.supervised_dom0 mach h ~blk:[ blk_chan ] () in
   let stats = Apps.stats () in
   let log = ref [] in
   let finished = ref false in
@@ -185,21 +119,14 @@ let vmm_run ~quick ~rate =
     Hypervisor.create_domain h ~name:"client" (fun () ->
         Port_xen.guest_body mach ~blk:(blk_chan, dom0) ~resilient:true
           ~io_timeout:1_000_000L
-          ~app:
-            (Apps.blk_retry_stream ~stats
-               ~now:(fun () -> Machine.now mach)
-               ~log:(fun entry -> log := entry :: !log)
-               ~ops ~span:24 ~seed:7 ~pace:150_000 ())
+          ~app:(Scenario.blk_probe mach ~stats ~log ~ops)
           ();
         finished := true)
   in
   let armed =
     Faults.arm
       (plan_for ~rate ~target:Dom0.name)
-      mach
-      ~kill:(fun target ->
-        if target = Dom0.name then
-          Hypervisor.kill_domain h (Hypervisor.supervised_domid sup))
+      mach ~kill:(Scenario.kill_dom0 h sup)
   in
   ignore (Hypervisor.run h ~until:(fun () -> !finished));
   Hypervisor.stop_supervisor sup;

@@ -34,8 +34,10 @@ module Rng = Vmk_sim.Rng
 module Overload = Vmk_overload.Overload
 module Vnet = Vmk_vnet.Vnet
 module Kernel = Vmk_ukernel.Kernel
+module Sysif = Vmk_ukernel.Sysif
 module Net_server = Vmk_ukernel.Net_server
 module Hypervisor = Vmk_vmm.Hypervisor
+module Hcall = Vmk_vmm.Hcall
 module Net_channel = Vmk_vmm.Net_channel
 module Bridge = Vmk_vmm.Bridge
 module Port_xen = Vmk_guest.Port_xen
@@ -197,7 +199,14 @@ let all_to_all mach ~sent ~record ~port ~guests ~rounds ~pace () =
 
 (* --- the Xen-style realization: bridge domain + N paravirt guests --- *)
 
-let xen_fabric ~guests ?mark_at ?port_capacity ?mk_fair ~mk_apps () =
+type xen_fabric = {
+  x_mach : Machine.t;
+  x_hyp : Hypervisor.t;
+  x_chans : Net_channel.t list;
+  x_bridge : Hcall.domid;
+}
+
+let xen_fabric ~guests ?mark_at ?port_capacity ?mk_fair () =
   let mach = Machine.create ~seed:41L () in
   let h = Hypervisor.create mach in
   let fair = Option.map (fun mk -> mk mach) mk_fair in
@@ -209,20 +218,27 @@ let xen_fabric ~guests ?mark_at ?port_capacity ?mk_fair ~mk_apps () =
     Hypervisor.create_domain h ~name:Bridge.name ~privileged:true ~weight:512
       (fun () -> Bridge.body mach ?mark_at ?port_capacity ?fair ~net:chans ())
   in
+  { x_mach = mach; x_hyp = h; x_chans = chans; x_bridge = bridge }
+
+(* The arrival record and sent count every traffic plan reports into. *)
+let recorder () =
   let arrivals = ref [] in
   let record ~tag ~at = arrivals := (tag, at) :: !arrivals in
-  let sent = ref 0 in
-  let pending = ref 0 in
+  (arrivals, record, ref 0)
+
+let xen_apps f ~mk_apps =
+  let mach = f.x_mach and h = f.x_hyp in
+  let arrivals, record, sent = recorder () in
   let apps = mk_apps ~mach ~record ~sent in
-  pending := List.length apps;
+  let pending = ref (List.length apps) in
   List.iteri
     (fun i (port, body) ->
       assert (port = i + 1);
-      let chan = List.nth chans i in
+      let chan = List.nth f.x_chans i in
       ignore
         (Hypervisor.create_domain h
            ~name:(Printf.sprintf "guest%d" port)
-           (Port_xen.guest_body mach ~net:(chan, bridge) ~io_timeout
+           (Port_xen.guest_body mach ~net:(chan, f.x_bridge) ~io_timeout
               ~app:(fun () ->
                 body ();
                 decr pending))))
@@ -233,23 +249,32 @@ let xen_fabric ~guests ?mark_at ?port_capacity ?mk_fair ~mk_apps () =
 
 (* --- the L4-style realization: broker + N (guest kernel, app) --- *)
 
-let uk_fabric ~guests ?mark_at ~mk_apps () =
+type uk_fabric = {
+  u_mach : Machine.t;
+  u_kernel : Kernel.t;
+  u_broker : Sysif.tid;
+  u_vnets : Port_l4.vnet list;
+  u_gks : Sysif.tid list;
+}
+
+let uk_fabric ~guests ?mark_at () =
   let mach = Machine.create ~seed:42L () in
   let k = Kernel.create mach in
   let net_tid =
     Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
       (fun () -> Net_server.body mach ~vnet:true ())
   in
-  let gks =
+  let ports =
     List.init guests (fun i ->
         let port = i + 1 in
         let v = Port_l4.vnet ~mach ~port ?mark_at () in
         let rtry = Port_l4.retry ~mach (Rng.split mach.Machine.rng) in
-        Kernel.spawn k
-          ~name:(Printf.sprintf "gk%d" port)
-          ~priority:3 ~account:Port_l4.gk_account
-          (Port_l4.guest_kernel_body ~retry:rtry ~vnet:v ~net:(Some net_tid)
-             ~blk:None))
+        ( v,
+          Kernel.spawn k
+            ~name:(Printf.sprintf "gk%d" port)
+            ~priority:3 ~account:Port_l4.gk_account
+            (Port_l4.guest_kernel_body ~retry:rtry ~vnet:v ~net:(Some net_tid)
+               ~blk:None) ))
   in
   (* Barrier: every guest kernel registered with the broker before any
      application transmits, so no destination resolves unknown (and
@@ -257,16 +282,23 @@ let uk_fabric ~guests ?mark_at ~mk_apps () =
   ignore
     (Kernel.run k ~until:(fun () ->
          Counter.get mach.Machine.counters "drv.net.vnet_attach" >= guests));
-  let arrivals = ref [] in
-  let record ~tag ~at = arrivals := (tag, at) :: !arrivals in
-  let sent = ref 0 in
-  let pending = ref 0 in
+  {
+    u_mach = mach;
+    u_kernel = k;
+    u_broker = net_tid;
+    u_vnets = List.map fst ports;
+    u_gks = List.map snd ports;
+  }
+
+let uk_apps f ~mk_apps ~side =
+  let mach = f.u_mach and k = f.u_kernel in
+  let arrivals, record, sent = recorder () in
   let apps = mk_apps ~mach ~record ~sent in
-  pending := List.length apps;
+  let pending = ref (List.length apps) in
   List.iteri
     (fun i (port, body) ->
       assert (port = i + 1);
-      let gk = List.nth gks i in
+      let gk = List.nth f.u_gks i in
       ignore
         (Kernel.spawn k
            ~name:(Printf.sprintf "app%d" port)
@@ -275,6 +307,7 @@ let uk_fabric ~guests ?mark_at ~mk_apps () =
                 body ();
                 decr pending))))
     apps;
+  side ();
   ignore (Kernel.run k ~until:(fun () -> !pending = 0));
   ignore (Kernel.run k ~max_dispatches:100_000);
   summarize Uk mach ~sent:!sent ~arrivals:!arrivals
@@ -290,8 +323,8 @@ let pairwise ~stack ~guests ~count =
         else (port, receiver mach ~record ~packets:count ~work:0))
   in
   match stack with
-  | Vmm -> xen_fabric ~guests ~mk_apps ()
-  | Uk -> uk_fabric ~guests ~mk_apps ()
+  | Vmm -> xen_apps (xen_fabric ~guests ()) ~mk_apps
+  | Uk -> uk_apps (uk_fabric ~guests ()) ~mk_apps ~side:ignore
 
 let all2all ~stack ~guests ~rounds =
   let mk_apps ~mach ~record ~sent =
@@ -302,8 +335,8 @@ let all2all ~stack ~guests ~rounds =
         ))
   in
   match stack with
-  | Vmm -> xen_fabric ~guests ~mk_apps ()
-  | Uk -> uk_fabric ~guests ~mk_apps ()
+  | Vmm -> xen_apps (xen_fabric ~guests ()) ~mk_apps
+  | Uk -> uk_apps (uk_fabric ~guests ()) ~mk_apps ~side:ignore
 
 (* --- satellite scenarios --- *)
 
@@ -334,8 +367,8 @@ let fairness ~count ~fair =
           ~work:recv_work );
     ]
   in
-  if fair then xen_fabric ~guests:3 ~port_capacity:16 ~mk_fair ~mk_apps ()
-  else xen_fabric ~guests:3 ~port_capacity:16 ~mk_apps ()
+  let mk_fair = if fair then Some mk_fair else None in
+  xen_apps (xen_fabric ~guests:3 ~port_capacity:16 ?mk_fair ()) ~mk_apps
 
 let delivered_from r src =
   Option.value ~default:0 (List.assoc_opt src r.per_src)
@@ -368,8 +401,8 @@ let ecn ~stack ~count ~on =
     ]
   in
   match stack with
-  | Vmm -> xen_fabric ~guests:2 ?mark_at ~port_capacity:128 ~mk_apps ()
-  | Uk -> uk_fabric ~guests:2 ?mark_at ~mk_apps ()
+  | Vmm -> xen_apps (xen_fabric ~guests:2 ?mark_at ~port_capacity:128 ()) ~mk_apps
+  | Uk -> uk_apps (uk_fabric ~guests:2 ?mark_at ()) ~mk_apps ~side:ignore
 
 (* Flow-cache sweep on the raw switch: 8 stations, a hot partner ring
    (3 of 4 packets) plus rotating cold destinations, under FIFO

@@ -2,14 +2,9 @@ module Machine = Vmk_hw.Machine
 module Nic = Vmk_hw.Nic
 module Counter = Vmk_trace.Counter
 module Accounts = Vmk_trace.Accounts
-module Rng = Vmk_sim.Rng
 module Table = Vmk_stats.Table
 module Kernel = Vmk_ukernel.Kernel
-module Sysif = Vmk_ukernel.Sysif
-module Svc = Vmk_ukernel.Svc
 module Watchdog = Vmk_ukernel.Watchdog
-module Net_server = Vmk_ukernel.Net_server
-module Blk_server = Vmk_ukernel.Blk_server
 module Hypervisor = Vmk_vmm.Hypervisor
 module Net_channel = Vmk_vmm.Net_channel
 module Blk_channel = Vmk_vmm.Blk_channel
@@ -30,7 +25,7 @@ module Faults = Vmk_faults.Faults
    backend in its own driver domain under a thin toolstack and kills
    only the netback domain. The blast radius is whatever stalls. *)
 let kill_at = 4_000_000L
-let sup_period = 1_000_000L
+let sup_period = Scenario.supervision_period
 let connect_timeout = 10_000_000L
 let net_period = 200_000L
 let packet_len = 512
@@ -56,13 +51,10 @@ type bres = {
   b_reconnects : int;  (** Frontends dragged through reconnect. *)
   b_net_generation : int;
   b_finished : bool;
-  b_wall : int64;
-  b_injected : int;
-  b_net_arrivals : (int * int64) list;
+  b_fp : Scenario.fingerprint;
+      (** NIC arrivals; its [f_packets] counts the packets injected. *)
   b_blk_log : (int64 * bool) list;
   b_vnet_arrivals : (int * int64) list;
-  b_counters : (string * int) list;
-  b_accounts : (string * int64) list;
 }
 
 let max_gap times =
@@ -71,11 +63,6 @@ let max_gap times =
     | t :: rest -> go t (max acc (Int64.sub t prev)) rest
   in
   match times with [] -> 0L | t :: rest -> go t 0L rest
-
-let first_after at times =
-  List.find_map
-    (fun t -> if Int64.compare t at > 0 then Some (Int64.sub t at) else None)
-    times
 
 (* What the toolstack / supervisor / watchdog side of one run looks like
    to the measurement code, independent of how the backends are hosted. *)
@@ -87,6 +74,77 @@ type ctl = {
   c_net_generation : unit -> int;
 }
 
+(* The three flows' client-side records, filled in by the same probe
+   bodies on both stacks. *)
+type flows = {
+  net_rx : (int * int64) list ref;
+  net_done : bool ref;
+  blk_log : (int64 * bool) list ref;
+  blk_stats : Apps.stats;
+  blk_done : bool ref;
+  vnet_rx : (int * int64) list ref;
+}
+
+let flows () =
+  {
+    net_rx = ref [];
+    net_done = ref false;
+    blk_log = ref [];
+    blk_stats = Apps.stats ();
+    blk_done = ref false;
+    vnet_rx = ref [];
+  }
+
+let net_client mach fl ~packets () =
+  Apps.net_rx_probe
+    ~now:(fun () -> Machine.now mach)
+    ~record:(fun ~tag ~at -> fl.net_rx := (tag, at) :: !(fl.net_rx))
+    ~packets () ();
+  fl.net_done := true
+
+let blk_client mach fl ~ops () =
+  Scenario.blk_probe mach ~stats:fl.blk_stats ~log:fl.blk_log ~ops ();
+  fl.blk_done := true
+
+let kill_plan ctl ~kill =
+  if kill then [ Faults.Kill_at { at = kill_at; target = ctl.c_target } ]
+  else []
+
+(* One blast-radius record, read off a finished run on either stack. *)
+let bres mach ctl fl ~label ~kill ~reconnects ~finished source =
+  let net = List.sort compare !(fl.net_rx) in
+  let blk = List.rev !(fl.blk_log) in
+  let vnet = List.sort compare !(fl.vnet_rx) in
+  let net_times = List.map snd net in
+  let blk_ok_times = Scenario.ok_times blk in
+  let recovery times =
+    if kill then Scenario.first_after kill_at times else None
+  in
+  {
+    b_label = label;
+    b_target = (if kill then ctl.c_target else "-");
+    b_blk_completed = fl.blk_stats.Apps.completed;
+    b_blk_lost = fl.blk_stats.Apps.errors;
+    b_blk_stall = max_gap blk_ok_times;
+    b_blk_recovery = recovery blk_ok_times;
+    b_net_rx = List.length net;
+    b_net_post =
+      List.length (List.filter (fun t -> Int64.compare t kill_at > 0) net_times);
+    b_net_stall = max_gap net_times;
+    b_net_recovery = recovery net_times;
+    b_vnet_rx = List.length vnet;
+    b_vnet_stall = max_gap (List.map snd vnet);
+    b_restarts = ctl.c_restarts ();
+    b_reconnects = Counter.get mach.Machine.counters reconnects;
+    b_net_generation = ctl.c_net_generation ();
+    b_finished = finished;
+    b_fp =
+      Scenario.fingerprint mach ~packets:(Traffic.injected source)
+        ~arrivals:net;
+    b_blk_log = blk;
+    b_vnet_arrivals = vnet;
+  }
+
 (* --- the Xen-style stack, monolithic or disaggregated --- *)
 
 let xen_run ~quick ~mode ~kill =
@@ -97,35 +155,22 @@ let xen_run ~quick ~mode ~kill =
   let mach = Machine.create ~seed () in
   let h = Hypervisor.create mach in
   let nchan = Net_channel.create ~mode:Net_channel.Flip ~demux_key:1 () in
-  let bchan = Blk_channel.create () in
-  let vnet_arrivals = ref [] in
+  let bchan = Blk_channel.create ~index:1 () in
+  let fl = flows () in
   let vnet_done = ref false in
   let ctl, net_backend, blk_backend, has_vnet =
     match mode with
     | Monolithic ->
-        let make ~restart () =
-          Dom0.body mach ~connect_timeout ~generation:restart ~net:[ nchan ]
-            ~blk:[ bchan ] ()
+        let dom0, sup =
+          Scenario.supervised_dom0 mach h ~net:[ nchan ] ~blk:[ bchan ] ()
         in
-        let dom0 =
-          Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
-            (make ~restart:0)
-        in
-        let sup =
-          Hypervisor.supervise h ~name:Dom0.name ~privileged:true
-            ~period:sup_period ~make_body:make dom0
-        in
+        let restarts () = List.length (Hypervisor.restarts sup) in
         ( {
             c_target = Dom0.name;
-            c_kill =
-              (fun target ->
-                if target = Dom0.name then
-                  Hypervisor.kill_domain h (Hypervisor.supervised_domid sup));
+            c_kill = Scenario.kill_dom0 h sup;
             c_stop = (fun () -> Hypervisor.stop_supervisor sup);
-            c_restarts =
-              (fun () -> List.length (Hypervisor.restarts sup));
-            c_net_generation =
-              (fun () -> List.length (Hypervisor.restarts sup));
+            c_restarts = restarts;
+            c_net_generation = restarts;
           },
           dom0,
           dom0,
@@ -179,8 +224,7 @@ let xen_run ~quick ~mode ~kill =
                  (try
                     for _ = 1 to vnet_count do
                       let _len, tag = Sys.net_recv () in
-                      vnet_arrivals :=
-                        (tag, Machine.now mach) :: !vnet_arrivals
+                      fl.vnet_rx := (tag, Machine.now mach) :: !(fl.vnet_rx)
                     done
                   with Sys.Sys_error _ -> ());
                  vnet_done := true))
@@ -204,81 +248,36 @@ let xen_run ~quick ~mode ~kill =
           true )
   in
   let ready = ref false in
-  let net_done = ref false and blk_done = ref false in
-  let arrivals = ref [] in
-  let blk_log = ref [] in
-  let blk_stats = Apps.stats () in
   let _netguest =
     Hypervisor.create_domain h ~name:"netguest"
       (Port_xen.guest_body mach ~net:(nchan, net_backend) ~resilient:true
          ~io_timeout:1_500_000L
          ~on_ready:(fun () -> ready := true)
-         ~app:(fun () ->
-           Apps.net_rx_probe
-             ~now:(fun () -> Machine.now mach)
-             ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
-             ~packets () ();
-           net_done := true))
+         ~app:(net_client mach fl ~packets))
   in
   let _blkguest =
     Hypervisor.create_domain h ~name:"blkguest"
       (Port_xen.guest_body mach ~blk:(bchan, blk_backend) ~resilient:true
-         ~io_timeout:1_000_000L
-         ~app:(fun () ->
-           Apps.blk_retry_stream ~stats:blk_stats
-             ~now:(fun () -> Machine.now mach)
-             ~log:(fun entry -> blk_log := entry :: !blk_log)
-             ~ops ~span:24 ~seed:7 ~pace:150_000 () ();
-           blk_done := true))
+         ~io_timeout:1_000_000L ~app:(blk_client mach fl ~ops))
   in
   let source =
     Traffic.constant_rate mach
       ~gate:(fun () -> !ready)
       ~period:net_period ~len:packet_len ~count:packets ()
   in
-  let plan = if kill then [ Faults.Kill_at { at = kill_at; target = ctl.c_target } ] else [] in
-  let armed = Faults.arm plan mach ~kill:ctl.c_kill in
+  let armed = Faults.arm (kill_plan ctl ~kill) mach ~kill:ctl.c_kill in
   let finished () =
-    !net_done && !blk_done && ((not has_vnet) || !vnet_done)
+    !(fl.net_done) && !(fl.blk_done) && ((not has_vnet) || !vnet_done)
   in
   ignore (Hypervisor.run h ~until:finished);
   ctl.c_stop ();
   ignore (Hypervisor.run h);
   Faults.disarm armed mach;
-  let net = List.sort compare !arrivals in
-  let blk = List.rev !blk_log in
-  let vnet = List.sort compare !vnet_arrivals in
-  let net_times = List.map snd net in
-  let blk_ok_times = List.filter_map (fun (t, ok) -> if ok then Some t else None) blk in
   let label =
     match mode with Monolithic -> "xen/monolithic" | Disaggregated -> "xen/driver-domains"
   in
-  {
-    b_label = label;
-    b_target = (if kill then ctl.c_target else "-");
-    b_blk_completed = blk_stats.Apps.completed;
-    b_blk_lost = blk_stats.Apps.errors;
-    b_blk_stall = max_gap blk_ok_times;
-    b_blk_recovery = (if kill then first_after kill_at blk_ok_times else None);
-    b_net_rx = List.length net;
-    b_net_post =
-      List.length (List.filter (fun t -> Int64.compare t kill_at > 0) net_times);
-    b_net_stall = max_gap net_times;
-    b_net_recovery = (if kill then first_after kill_at net_times else None);
-    b_vnet_rx = List.length vnet;
-    b_vnet_stall = max_gap (List.map snd vnet);
-    b_restarts = ctl.c_restarts ();
-    b_reconnects = Counter.get mach.Machine.counters "xen.reconnects";
-    b_net_generation = ctl.c_net_generation ();
-    b_finished = finished ();
-    b_wall = Machine.now mach;
-    b_injected = Traffic.injected source;
-    b_net_arrivals = net;
-    b_blk_log = blk;
-    b_vnet_arrivals = vnet;
-    b_counters = Counter.to_list mach.Machine.counters;
-    b_accounts = Accounts.to_list mach.Machine.accounts;
-  }
+  bres mach ctl fl ~label ~kill ~reconnects:"xen.reconnects"
+    ~finished:(finished ()) source
 
 (* --- the microkernel stack: same flows, net server killed --- *)
 
@@ -287,77 +286,23 @@ let l4_run ~quick ~kill =
   let packets = if quick then 24 else 48 in
   let mach = Machine.create ~seed:63L () in
   let k = Kernel.create mach in
-  let blk_spec () =
-    {
-      Sysif.name = "blk-server";
-      priority = 2;
-      same_space = false;
-      pager = None;
-      body = (fun () -> Blk_server.body mach ());
-    }
-  in
-  let net_spec () =
-    {
-      Sysif.name = "net-server";
-      priority = 2;
-      same_space = false;
-      pager = None;
-      body = (fun () -> Net_server.body mach ());
-    }
-  in
-  let blk_tid =
-    Kernel.spawn k ~name:"blk-server" ~priority:2 ~account:Blk_server.account
-      (fun () -> Blk_server.body mach ())
-  in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ())
-  in
-  let blk_entry = Svc.entry ~name:"blk" blk_tid in
-  let net_entry = Svc.entry ~name:"net" net_tid in
-  let wd = Watchdog.create () in
-  let _wd_tid =
-    Kernel.spawn k ~name:"watchdog" ~priority:1 ~account:"watchdog"
-      (Watchdog.body mach wd ~period:sup_period ~ping_timeout:200_000L
-         [ (blk_entry, blk_spec); (net_entry, net_spec) ])
-  in
-  let retry () =
-    Port_l4.retry ~mach ~attempts:8 ~timeout:1_000_000L ~base_delay:100_000L
-      (Rng.split mach.Machine.rng)
-  in
+  let rig = Scenario.supervised_l4 mach k in
   (* One guest kernel per client: the block client's syscall path shares
      nothing with the net path but the microkernel itself. *)
   let gk_net =
-    Kernel.spawn k ~name:"gk-net" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ~retry:(retry ()) ~net_svc:net_entry
-         ~net:(Some net_tid) ~blk:None)
+    Scenario.recovering_guest_kernel rig ~name:"gk-net" ~net:true ~blk:false
   in
   let gk_blk =
-    Kernel.spawn k ~name:"gk-blk" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ~retry:(retry ()) ~blk_svc:blk_entry
-         ~net:None ~blk:(Some blk_tid))
+    Scenario.recovering_guest_kernel rig ~name:"gk-blk" ~net:false ~blk:true
   in
-  let net_done = ref false and blk_done = ref false in
-  let arrivals = ref [] in
-  let blk_log = ref [] in
-  let blk_stats = Apps.stats () in
+  let fl = flows () in
   let _netapp =
     Kernel.spawn k ~name:"netapp" ~priority:4 ~account:"netapp"
-      (Port_l4.app_body mach ~gk:gk_net (fun () ->
-           Apps.net_rx_probe
-             ~now:(fun () -> Machine.now mach)
-             ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
-             ~packets () ();
-           net_done := true))
+      (Port_l4.app_body mach ~gk:gk_net (net_client mach fl ~packets))
   in
   let _blkapp =
     Kernel.spawn k ~name:"blkapp" ~priority:4 ~account:"blkapp"
-      (Port_l4.app_body mach ~gk:gk_blk (fun () ->
-           Apps.blk_retry_stream ~stats:blk_stats
-             ~now:(fun () -> Machine.now mach)
-             ~log:(fun entry -> blk_log := entry :: !blk_log)
-             ~ops ~span:24 ~seed:7 ~pace:150_000 () ();
-           blk_done := true))
+      (Port_l4.app_body mach ~gk:gk_blk (blk_client mach fl ~ops))
   in
   let up = ref false in
   let gate () =
@@ -372,53 +317,30 @@ let l4_run ~quick ~kill =
     Traffic.constant_rate mach ~gate ~period:net_period ~len:packet_len
       ~count:packets ()
   in
-  let plan =
-    if kill then [ Faults.Kill_at { at = kill_at; target = "net-server" } ]
-    else []
+  (* Respawns are recorded under the registry entry's name. *)
+  let respawns () =
+    List.length
+      (List.filter
+         (fun (name, _) -> name = "net")
+         (Watchdog.respawns rig.Scenario.watchdog))
   in
-  let armed =
-    Faults.arm plan mach ~kill:(fun target ->
-        if target = "net-server" then Kernel.kill k (Svc.tid net_entry))
+  let ctl =
+    {
+      c_target = "net-server";
+      c_kill = Scenario.kill_server rig;
+      c_stop = (fun () -> Watchdog.stop rig.Scenario.watchdog);
+      c_restarts = respawns;
+      c_net_generation = respawns;
+    }
   in
-  ignore (Kernel.run k ~until:(fun () -> !net_done && !blk_done));
-  Watchdog.stop wd;
+  let armed = Faults.arm (kill_plan ctl ~kill) mach ~kill:ctl.c_kill in
+  let finished () = !(fl.net_done) && !(fl.blk_done) in
+  ignore (Kernel.run k ~until:finished);
+  ctl.c_stop ();
   ignore (Kernel.run k);
   Faults.disarm armed mach;
-  let net = List.sort compare !arrivals in
-  let blk = List.rev !blk_log in
-  let net_times = List.map snd net in
-  let blk_ok_times = List.filter_map (fun (t, ok) -> if ok then Some t else None) blk in
-  (* Respawns are recorded under the registry entry's name. *)
-  let respawns =
-    List.length
-      (List.filter (fun (name, _) -> name = "net") (Watchdog.respawns wd))
-  in
-  {
-    b_label = "l4/multi-server";
-    b_target = (if kill then "net-server" else "-");
-    b_blk_completed = blk_stats.Apps.completed;
-    b_blk_lost = blk_stats.Apps.errors;
-    b_blk_stall = max_gap blk_ok_times;
-    b_blk_recovery = (if kill then first_after kill_at blk_ok_times else None);
-    b_net_rx = List.length net;
-    b_net_post =
-      List.length (List.filter (fun t -> Int64.compare t kill_at > 0) net_times);
-    b_net_stall = max_gap net_times;
-    b_net_recovery = (if kill then first_after kill_at net_times else None);
-    b_vnet_rx = 0;
-    b_vnet_stall = 0L;
-    b_restarts = respawns;
-    b_reconnects = Counter.get mach.Machine.counters "l4.retries";
-    b_net_generation = respawns;
-    b_finished = !net_done && !blk_done;
-    b_wall = Machine.now mach;
-    b_injected = Traffic.injected source;
-    b_net_arrivals = net;
-    b_blk_log = blk;
-    b_vnet_arrivals = [];
-    b_counters = Counter.to_list mach.Machine.counters;
-    b_accounts = Accounts.to_list mach.Machine.accounts;
-  }
+  bres mach ctl fl ~label:"l4/multi-server" ~kill ~reconnects:"l4.retries"
+    ~finished:(finished ()) source
 
 (* --- the E10 TCB rerun: who serves a lone storage client --- *)
 
@@ -451,7 +373,7 @@ let tcb_run ~quick ~mode =
   let seed = match mode with Monolithic -> 65L | Disaggregated -> 66L in
   let mach = Machine.create ~seed () in
   let h = Hypervisor.create mach in
-  let chan = Blk_channel.create () in
+  let chan = Blk_channel.create ~index:1 () in
   let done_ = ref false in
   let spawn_client backend =
     ignore

@@ -29,13 +29,10 @@ type bres = {
   b_reconnects : int;
   b_net_generation : int;
   b_finished : bool;
-  b_wall : int64;
-  b_injected : int;
-  b_net_arrivals : (int * int64) list;
+  b_fp : Scenario.fingerprint;
+      (** NIC arrivals; its [f_packets] counts the packets injected. *)
   b_blk_log : (int64 * bool) list;
   b_vnet_arrivals : (int * int64) list;
-  b_counters : (string * int) list;
-  b_accounts : (string * int64) list;
 }
 (** One blast-radius run: three concurrent flows (NIC receive, storage,
     inter-guest vnet) with the net backend optionally killed at 4M

@@ -23,17 +23,11 @@ module Table = Vmk_stats.Table
 module Machine = Vmk_hw.Machine
 module Addr = Vmk_hw.Addr
 module Counter = Vmk_trace.Counter
-module Accounts = Vmk_trace.Accounts
-module Rng = Vmk_sim.Rng
 module Kernel = Vmk_ukernel.Kernel
 module Sysif = Vmk_ukernel.Sysif
 module Proto = Vmk_ukernel.Proto
-module Net_server = Vmk_ukernel.Net_server
 module Hypervisor = Vmk_vmm.Hypervisor
 module Hcall = Vmk_vmm.Hcall
-module Net_channel = Vmk_vmm.Net_channel
-module Bridge = Vmk_vmm.Bridge
-module Port_xen = Vmk_guest.Port_xen
 module Port_l4 = Vmk_guest.Port_l4
 module Sys = Vmk_guest.Sys
 
@@ -42,7 +36,6 @@ let packet_len = 512
 let sender_pace = 8_000
 let storm_guests = 6
 let storm_chain_depth = 3
-let io_timeout = 20_000_000L
 
 (* --- depth sweep result --- *)
 
@@ -53,9 +46,7 @@ type chain = {
   ch_transitive : int;  (** Transitive re-grants in the chain (vmm only). *)
   ch_teardown : int64;  (** Cycles of the revoke call itself. *)
   ch_severed : int;  (** Delegates that observed their rights gone. *)
-  ch_wall : int64;
-  ch_counters : (string * int) list;
-  ch_accounts : (string * int64) list;
+  ch_fp : Scenario.fingerprint;
 }
 
 let cyc_per_cap c =
@@ -131,9 +122,7 @@ let uk_chain ~depth =
     ch_transitive = 0;
     ch_teardown = !teardown;
     ch_severed = !severed;
-    ch_wall = Machine.now mach;
-    ch_counters = Counter.to_list counters;
-    ch_accounts = Accounts.to_list mach.Machine.accounts;
+    ch_fp = Scenario.fingerprint mach ~packets:0 ~arrivals:[];
   }
 
 (* --- VMM chain: grant -> map -> transitive re-grant, d deep --- *)
@@ -203,9 +192,7 @@ let vmm_chain ~depth =
     ch_transitive = Counter.get counters "vmm.grant_transitive";
     ch_teardown = !teardown;
     ch_severed = !severed;
-    ch_wall = Machine.now mach;
-    ch_counters = Counter.to_list counters;
-    ch_accounts = Accounts.to_list mach.Machine.accounts;
+    ch_fp = Scenario.fingerprint mach ~packets:0 ~arrivals:[];
   }
 
 (* --- the revocation storm --- *)
@@ -254,7 +241,7 @@ let innocent_times arrivals ~innocent =
    and 5->6 are the innocent bystanders. *)
 let storm_innocent = [ 3; 5 ]
 
-let storm_apps mach ~record ~sent ~count ~first =
+let storm_apps ~count ~first ~mach ~record ~sent =
   let send src =
     Exp_e17.sender ~sent ~src ~dst:(src + 1) ~count ~pace:sender_pace
   in
@@ -268,6 +255,29 @@ let storm_apps mach ~record ~sent ~count ~first =
     (6, recv);
   ]
 
+(* The storm record of a finished fabric run: the innocent pairs'
+   arrivals and the run's transitions and denials come from its
+   fingerprint, the revoke's own figures from the side party. *)
+let storm_of run ~count ~transitions ~victim_failed ~removed ~forced
+    ~teardown =
+  let fp = Exp_e17.fp run in
+  let innocent =
+    innocent_times fp.Scenario.f_arrivals ~innocent:storm_innocent
+  in
+  {
+    st_innocent_rx = List.length innocent;
+    st_expected = 2 * count;
+    st_p99_gap = percentile_gap 99 innocent;
+    st_denied = Scenario.fp_counter fp "drv.net.vnet_denied";
+    st_victim_failed = victim_failed;
+    st_removed = removed;
+    st_forced = forced;
+    st_transitions =
+      List.fold_left (fun acc c -> acc + Scenario.fp_counter fp c) 0 transitions;
+    st_teardown = teardown;
+    st_fp = fp;
+  }
+
 (* L4 storm: the broker recursively revokes the misbehaving guest's
    session-cap chain mid-run. Phase 1 of the victim's traffic flows
    normally; once the chain is severed its fresh lookups are denied at
@@ -275,34 +285,9 @@ let storm_apps mach ~record ~sent ~count ~first =
    never leaves the guest kernel. *)
 let uk_storm ~quick ~revoke =
   let count = if quick then 24 else 40 in
-  let mach = Machine.create ~seed:42L () in
-  let k = Kernel.create mach in
+  let f = Exp_e17.uk_fabric ~guests:storm_guests () in
+  let mach = f.Exp_e17.u_mach in
   let counters = mach.Machine.counters in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ~vnet:true ())
-  in
-  let vnets =
-    List.init storm_guests (fun i -> Port_l4.vnet ~mach ~port:(i + 1) ())
-  in
-  let gks =
-    List.mapi
-      (fun i v ->
-        let rtry = Port_l4.retry ~mach (Rng.split mach.Machine.rng) in
-        Kernel.spawn k
-          ~name:(Printf.sprintf "gk%d" (i + 1))
-          ~priority:3 ~account:Port_l4.gk_account
-          (Port_l4.guest_kernel_body ~retry:rtry ~vnet:v ~net:(Some net_tid)
-             ~blk:None))
-      vnets
-  in
-  ignore
-    (Kernel.run k ~until:(fun () ->
-         Counter.get counters "drv.net.vnet_attach" >= storm_guests));
-  let arrivals = ref [] in
-  let record ~tag ~at = arrivals := (tag, at) :: !arrivals in
-  let sent = ref 0 in
-  let pending = ref 0 in
   let phase1_done = ref false in
   let revoke_done = ref (not revoke) in
   let victim_failed = ref 0 in
@@ -313,7 +298,7 @@ let uk_storm ~quick ~revoke =
      driver path (the packet goes to the NIC, not the fabric), so the
      severance signal is how many phase-2 packets failed to go out as
      direct vnet IPC. *)
-  let v1 = List.nth vnets 0 in
+  let v1 = List.hd f.Exp_e17.u_vnets in
   let misbehaving send () =
     send ();
     phase1_done := true;
@@ -331,52 +316,32 @@ let uk_storm ~quick ~revoke =
       victim_failed := count - (Port_l4.vnet_sent v1 - direct0)
     end
   in
-  let apps = storm_apps mach ~record ~sent ~count ~first:misbehaving in
-  pending := List.length apps;
-  List.iter
-    (fun (port, body) ->
-      let gk = List.nth gks (port - 1) in
+  let side () =
+    if revoke then
       ignore
-        (Kernel.spawn k
-           ~name:(Printf.sprintf "app%d" port)
-           ~priority:4 ~account:"app"
-           (Port_l4.app_body mach ~gk (fun () ->
-                body ();
-                decr pending))))
-    apps;
-  if revoke then
-    ignore
-      (Kernel.spawn k ~name:"ctl" ~priority:2 ~account:"ctl" (fun () ->
-           while not !phase1_done do
-             Sysif.sleep 50_000L
-           done;
-           let before = Machine.now mach in
-           let r0 = Counter.get counters "cap.revoked" in
-           (match
-              Sysif.call net_tid
-                (Sysif.msg Proto.vnet_revoke ~items:[ Sysif.Words [| 1 |] ])
-            with
-           | _, r when r.Sysif.label = Proto.ok -> ()
-           | _ | (exception Sysif.Ipc_error _) -> ());
-           teardown := Int64.sub (Machine.now mach) before;
-           removed := Counter.get counters "cap.revoked" - r0;
-           revoke_done := true));
-  ignore (Kernel.run k ~until:(fun () -> !pending = 0));
-  ignore (Kernel.run k ~max_dispatches:100_000);
-  let arrivals = List.sort compare !arrivals in
-  let innocent = innocent_times arrivals ~innocent:storm_innocent in
-  {
-    st_innocent_rx = List.length innocent;
-    st_expected = 2 * count;
-    st_p99_gap = percentile_gap 99 innocent;
-    st_denied = Counter.get counters "drv.net.vnet_denied";
-    st_victim_failed = !victim_failed;
-    st_removed = !removed;
-    st_forced = 0;
-    st_transitions = Counter.get counters "uk.syscall";
-    st_teardown = !teardown;
-    st_fp = Scenario.fingerprint mach ~packets:!sent ~arrivals;
-  }
+        (Kernel.spawn f.Exp_e17.u_kernel ~name:"ctl" ~priority:2 ~account:"ctl"
+           (fun () ->
+             while not !phase1_done do
+               Sysif.sleep 50_000L
+             done;
+             let before = Machine.now mach in
+             let r0 = Counter.get counters "cap.revoked" in
+             (match
+                Sysif.call f.Exp_e17.u_broker
+                  (Sysif.msg Proto.vnet_revoke ~items:[ Sysif.Words [| 1 |] ])
+              with
+             | _, r when r.Sysif.label = Proto.ok -> ()
+             | _ | (exception Sysif.Ipc_error _) -> ());
+             teardown := Int64.sub (Machine.now mach) before;
+             removed := Counter.get counters "cap.revoked" - r0;
+             revoke_done := true))
+  in
+  let run =
+    Exp_e17.uk_apps f ~mk_apps:(storm_apps ~count ~first:misbehaving) ~side
+  in
+  storm_of run ~count ~transitions:[ "uk.syscall" ]
+    ~victim_failed:!victim_failed ~removed:!removed ~forced:0
+    ~teardown:!teardown
 
 (* Xen storm: pairwise traffic through the Dom0 bridge while a 3-deep
    transitive grant chain built by a side party is cut down at its root
@@ -386,17 +351,9 @@ let xen_storm ~quick ~revoke =
   let count = if quick then 24 else 40 in
   let revoke_at = 1_500_000L in
   let depth = storm_chain_depth in
-  let mach = Machine.create ~seed:41L () in
-  let h = Hypervisor.create mach in
+  let f = Exp_e17.xen_fabric ~guests:storm_guests () in
+  let mach = f.Exp_e17.x_mach and h = f.Exp_e17.x_hyp in
   let counters = mach.Machine.counters in
-  let chans =
-    List.init storm_guests (fun i ->
-        Net_channel.create ~mode:Net_channel.Flip ~demux_key:(i + 1) ())
-  in
-  let bridge =
-    Hypervisor.create_domain h ~name:Bridge.name ~privileged:true ~weight:512
-      (fun () -> Bridge.body mach ~net:chans ())
-  in
   (* The delegation chain, off to the side of the traffic. *)
   let domids = Array.make (depth + 1) 0 in
   let grefs = Array.make (depth + 1) None in
@@ -440,51 +397,14 @@ let xen_storm ~quick ~revoke =
           Hcall.grant_revoke g1;
           teardown := Int64.sub (Machine.now mach) before;
           removed := Counter.get counters "cap.revoked" - r0;
-          forced := Counter.get counters "gnt.revoke_forced" - f0;
-          revoked := true
-        end
-        else revoked := true);
-  ignore revoked;
-  let arrivals = ref [] in
-  let record ~tag ~at = arrivals := (tag, at) :: !arrivals in
-  let sent = ref 0 in
-  let pending = ref 0 in
-  let apps = storm_apps mach ~record ~sent ~count ~first:Fun.id in
-  pending := List.length apps;
-  List.iteri
-    (fun i (port, body) ->
-      assert (port = i + 1);
-      let chan = List.nth chans i in
-      ignore
-        (Hypervisor.create_domain h
-           ~name:(Printf.sprintf "guest%d" port)
-           (Port_xen.guest_body mach ~net:(chan, bridge) ~io_timeout
-              ~app:(fun () ->
-                body ();
-                decr pending))))
-    apps;
-  ignore (Hypervisor.run h ~until:(fun () -> !pending = 0));
-  ignore (Hypervisor.run h ~max_dispatches:100_000);
-  let arrivals = List.sort compare !arrivals in
-  let innocent = innocent_times arrivals ~innocent:storm_innocent in
-  {
-    st_innocent_rx = List.length innocent;
-    st_expected = 2 * count;
-    st_p99_gap = percentile_gap 99 innocent;
-    st_denied = 0;
-    st_victim_failed = 0;
-    st_removed = !removed;
-    st_forced = !forced;
-    st_transitions =
-      Counter.get counters "vmm.hypercall" + Counter.get counters "vmm.upcall";
-    st_teardown = !teardown;
-    st_fp = Scenario.fingerprint mach ~packets:!sent ~arrivals;
-  }
+          forced := Counter.get counters "gnt.revoke_forced" - f0
+        end;
+        revoked := true);
+  let run = Exp_e17.xen_apps f ~mk_apps:(storm_apps ~count ~first:Fun.id) in
+  storm_of run ~count ~transitions:[ "vmm.hypercall"; "vmm.upcall" ]
+    ~victim_failed:0 ~removed:!removed ~forced:!forced ~teardown:!teardown
 
 (* --- reporting --- *)
-
-let counter_of counters name =
-  Option.value ~default:0 (List.assoc_opt name counters)
 
 let chain_table ~vmm rows =
   let t =
@@ -513,12 +433,13 @@ let depth_histogram_table rows =
   let buckets = [ "le_1"; "le_2"; "le_4"; "le_8"; "gt_8" ] in
   let t = Table.create ~header:("stack" :: buckets) in
   List.iter
-    (fun (label, counters) ->
+    (fun (label, c) ->
       Table.add_row t
         (label
         :: List.map
              (fun b ->
-               string_of_int (counter_of counters ("cap.revoke_depth." ^ b)))
+               string_of_int
+                 (Scenario.fp_counter c.ch_fp ("cap.revoke_depth." ^ b)))
              buckets))
     rows;
   t
@@ -725,7 +646,7 @@ let run ~quick =
         ("VMM chain: one grant_revoke vs transitive grant depth", chain_table ~vmm:true vmm_sweep);
         ( "Revocation-depth histogram (depth-6 chains)",
           depth_histogram_table
-            [ ("uk", uk_d6.ch_counters); ("vmm", vmm_d6.ch_counters) ] );
+            [ ("uk", uk_d6); ("vmm", vmm_d6) ] );
         ( "Revocation storm over E17 pairwise traffic",
           storm_table
             [

@@ -19,9 +19,7 @@ type chain = {
   ch_transitive : int;  (** Transitive re-grants in the chain (vmm only). *)
   ch_teardown : int64;  (** Cycles of the revoke call itself. *)
   ch_severed : int;  (** Delegates that observed their rights gone. *)
-  ch_wall : int64;
-  ch_counters : (string * int) list;
-  ch_accounts : (string * int64) list;
+  ch_fp : Scenario.fingerprint;
 }
 
 val uk_chain : depth:int -> chain

@@ -43,8 +43,10 @@ let vmm_blast_radius ~quick ~kill =
   let packets = if quick then 160 else 280 in
   let mach = Machine.create ~seed:21L () in
   let h = Hypervisor.create mach in
-  let upstream = Blk_channel.create () in
-  let storage_chans = [ Blk_channel.create (); Blk_channel.create () ] in
+  let upstream = Blk_channel.create ~index:0 () in
+  let storage_chans =
+    [ Blk_channel.create ~index:1 (); Blk_channel.create ~index:2 () ]
+  in
   let net_chan = Net_channel.create ~mode:Net_channel.Flip ~demux_key:1 () in
   let dom0 =
     Hypervisor.create_domain h ~name:Dom0.name ~privileged:true

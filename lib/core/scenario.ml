@@ -12,7 +12,12 @@ module Port_xen = Vmk_guest.Port_xen
 module Port_l4 = Vmk_guest.Port_l4
 module Net_server = Vmk_ukernel.Net_server
 module Blk_server = Vmk_ukernel.Blk_server
+module Sysif = Vmk_ukernel.Sysif
+module Svc = Vmk_ukernel.Svc
+module Watchdog = Vmk_ukernel.Watchdog
+module Rng = Vmk_sim.Rng
 module Traffic = Vmk_workloads.Traffic
+module Apps = Vmk_workloads.Apps
 
 type outcome = {
   cycles : int64;
@@ -112,7 +117,7 @@ let run_xen ?arch ?seed ?(rx_mode = Net_channel.Flip) ?(net = true) ?(blk = true
   let net_chan =
     if net then Some (Net_channel.create ~mode:rx_mode ~demux_key:1 ()) else None
   in
-  let blk_chan = if blk then Some (Blk_channel.create ()) else None in
+  let blk_chan = if blk then Some (Blk_channel.create ~index:1 ()) else None in
   let dom0 =
     Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
       ?weight:dom0_weight
@@ -181,3 +186,88 @@ let run_l4 ?arch ?seed ?(net = true) ?(blk = true) ?admit ?rx_capacity ?napi
   ignore (Kernel.run k ~until:(finished ~completed mach deadline));
   if Option.is_none deadline then ignore (Kernel.run k ~max_dispatches:100_000);
   outcome_of mach ~completed:!completed
+
+(* --- the fault-recovery rig (E13, E18) --- *)
+
+let supervision_period = 1_000_000L
+
+type l4_rig = {
+  rig_mach : Machine.t;
+  rig_kernel : Kernel.t;
+  blk_svc : Svc.entry;
+  net_svc : Svc.entry;
+  watchdog : Watchdog.t;
+}
+
+let supervised_l4 mach k =
+  let server name account body =
+    let tid = Kernel.spawn k ~name ~priority:2 ~account body in
+    let spec () =
+      { Sysif.name; priority = 2; same_space = false; pager = None; body }
+    in
+    (tid, spec)
+  in
+  let blk_tid, blk_spec =
+    server "blk-server" Blk_server.account (fun () -> Blk_server.body mach ())
+  in
+  let net_tid, net_spec =
+    server "net-server" Net_server.account (fun () -> Net_server.body mach ())
+  in
+  let blk_svc = Svc.entry ~name:"blk" blk_tid in
+  let net_svc = Svc.entry ~name:"net" net_tid in
+  let watchdog = Watchdog.create () in
+  ignore
+    (Kernel.spawn k ~name:"watchdog" ~priority:1 ~account:"watchdog"
+       (Watchdog.body mach watchdog ~period:supervision_period
+          ~ping_timeout:200_000L
+          [ (blk_svc, blk_spec); (net_svc, net_spec) ]));
+  { rig_mach = mach; rig_kernel = k; blk_svc; net_svc; watchdog }
+
+let recovering_guest_kernel rig ~name ~net ~blk =
+  let mach = rig.rig_mach in
+  let retry =
+    Port_l4.retry ~mach ~attempts:8 ~timeout:1_000_000L ~base_delay:100_000L
+      (Rng.split mach.Machine.rng)
+  in
+  let svc used entry = if used then Some entry else None in
+  let tid used entry = if used then Some (Svc.tid entry) else None in
+  Kernel.spawn rig.rig_kernel ~name ~priority:3 ~account:Port_l4.gk_account
+    (Port_l4.guest_kernel_body ~retry
+       ?net_svc:(svc net rig.net_svc) ?blk_svc:(svc blk rig.blk_svc)
+       ~net:(tid net rig.net_svc) ~blk:(tid blk rig.blk_svc))
+
+let kill_server rig target =
+  let kill entry = Kernel.kill rig.rig_kernel (Svc.tid entry) in
+  if target = "blk-server" then kill rig.blk_svc
+  else if target = "net-server" then kill rig.net_svc
+
+let supervised_dom0 mach h ?net ?blk () =
+  let make ~restart () =
+    Dom0.body mach ~connect_timeout:10_000_000L ~generation:restart ?net ?blk
+      ()
+  in
+  let dom0 =
+    Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
+      (make ~restart:0)
+  in
+  ( dom0,
+    Hypervisor.supervise h ~name:Dom0.name ~privileged:true
+      ~period:supervision_period ~make_body:make dom0 )
+
+let kill_dom0 h sup target =
+  if target = Dom0.name then
+    Hypervisor.kill_domain h (Hypervisor.supervised_domid sup)
+
+let blk_probe mach ~stats ~log ~ops =
+  Apps.blk_retry_stream ~stats
+    ~now:(fun () -> Machine.now mach)
+    ~log:(fun entry -> log := entry :: !log)
+    ~ops ~span:24 ~seed:7 ~pace:150_000 ()
+
+let ok_times log =
+  List.filter_map (fun (t, ok) -> if ok then Some t else None) log
+
+let first_after at times =
+  List.find_map
+    (fun t -> if Int64.compare t at > 0 then Some (Int64.sub t at) else None)
+    times

@@ -113,3 +113,72 @@ val run_l4 :
     pass through; [retry] builds the guest kernel's driver-RPC retry
     policy on the fresh machine. The traffic gate opens whenever the net
     server has receive buffers posted. *)
+
+(** {1 The fault-recovery rig}
+
+    The supervised driver stacks E13 and E18 kill drivers on: one build
+    per stack, so both experiments restart the same servers under the
+    same supervision constants. *)
+
+val supervision_period : int64
+(** Watchdog and Dom0-supervisor period: 1M cycles. *)
+
+type l4_rig = {
+  rig_mach : Vmk_hw.Machine.t;
+  rig_kernel : Vmk_ukernel.Kernel.t;
+  blk_svc : Vmk_ukernel.Svc.entry;
+  net_svc : Vmk_ukernel.Svc.entry;
+  watchdog : Vmk_ukernel.Watchdog.t;
+}
+
+val supervised_l4 : Vmk_hw.Machine.t -> Vmk_ukernel.Kernel.t -> l4_rig
+(** Spawns [blk-server] then [net-server] (priority 2), registers them
+    as services ["blk"] and ["net"], and spawns a watchdog (priority 1)
+    that pings both every {!supervision_period} with a 200k-cycle ping
+    timeout and respawns a dead one. *)
+
+val recovering_guest_kernel :
+  l4_rig -> name:string -> net:bool -> blk:bool -> Vmk_ukernel.Sysif.tid
+(** Spawns a guest kernel (priority 3) bound through the service
+    registry to the rig's servers it uses ([net], [blk]), so it follows
+    respawns. Its driver RPC makes up to 8 attempts with a 1M-cycle
+    timeout and a 100k-cycle base delay, on its own
+    {!Vmk_sim.Rng.split} of the machine rng, taken at the call. *)
+
+val kill_server : l4_rig -> string -> unit
+(** Kill the live incarnation of ["blk-server"] or ["net-server"]; a
+    fault plan's kill hook. Other targets are ignored. *)
+
+val supervised_dom0 :
+  Vmk_hw.Machine.t ->
+  Vmk_vmm.Hypervisor.t ->
+  ?net:Vmk_vmm.Net_channel.t list ->
+  ?blk:Vmk_vmm.Blk_channel.t list ->
+  unit ->
+  Vmk_vmm.Hcall.domid * Vmk_vmm.Hypervisor.supervisor
+(** Creates Dom0 serving [net]/[blk] (10M-cycle connect timeout) and a
+    supervisor that polls it every {!supervision_period} and restarts a
+    dead incarnation under the next reconnect generation. *)
+
+val kill_dom0 :
+  Vmk_vmm.Hypervisor.t -> Vmk_vmm.Hypervisor.supervisor -> string -> unit
+(** Kill the live Dom0 incarnation when the target is {!Vmk_vmm.Dom0.name};
+    a fault plan's kill hook. *)
+
+val blk_probe :
+  Vmk_hw.Machine.t ->
+  stats:Vmk_workloads.Apps.stats ->
+  log:(int64 * bool) list ref ->
+  ops:int ->
+  unit ->
+  unit
+(** The storage client both experiments run across a kill: [ops] paced
+    block operations with client-side retry, each (time, ok) outcome
+    pushed onto [log], newest first. *)
+
+val ok_times : (int64 * bool) list -> int64 list
+(** The times of the successful entries of an oldest-first op log. *)
+
+val first_after : int64 -> int64 list -> int64 option
+(** [first_after at times]: how long after [at] the first of [times]
+    later than [at] came — the recovery latency of a kill at [at]. *)

@@ -52,7 +52,6 @@ let every t period f =
   at t first (tick first)
 
 let pending t = Heap.length t.queue
-let next_due t = Heap.min_time t.queue
 
 let[@inline] next_due_or t default = Heap.min_time_or t.queue default
 

@@ -41,13 +41,11 @@ val cancelled : handle -> bool
 val pending : t -> int
 (** Number of queued events. *)
 
-val next_due : t -> int64 option
-(** Due time of the earliest queued event, without dispatching it. Lets
-    the SMP executor skip idle quanta straight to the next arrival. *)
-
 val next_due_or : t -> int64 -> int64
-(** [next_due_or t default] is {!next_due} without the option box —
-    the allocation-free form the tickless executors poll every
+(** [next_due_or t default] is the due time of the earliest queued
+    event, without dispatching it, or [default] when none is queued.
+    Lets the SMP executor skip idle quanta straight to the next arrival;
+    it allocates nothing, since the tickless executors poll it every
     dispatch. *)
 
 val note_burst : t -> int64 -> unit

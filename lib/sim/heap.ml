@@ -54,15 +54,13 @@ let push h ~time value =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let min_time h = if h.size = 0 then None else Some h.data.(0).time
-
-(* Allocation-free {!min_time}: the sentinel comes back when empty. *)
+(* The sentinel comes back when empty, so polling allocates nothing. *)
 let[@inline] min_time_or h default =
   if h.size = 0 then default else h.data.(0).time
 
 exception Empty
 
-(* Allocation-free {!pop}: the value without the [(time, value)] box.
+(* The value without a [(time, value)] box, so popping allocates nothing.
    @raise Empty when the heap is empty. *)
 let pop_exn h =
   if h.size = 0 then raise Empty;
@@ -73,18 +71,6 @@ let pop_exn h =
     sift_down h 0
   end;
   top.value
-
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    Some (top.time, top.value)
-  end
 
 let clear h =
   h.data <- [||];

@@ -18,23 +18,17 @@ val is_empty : 'a t -> bool
 val push : 'a t -> time:int64 -> 'a -> unit
 (** [push h ~time v] queues [v] at timestamp [time]. *)
 
-val min_time : 'a t -> int64 option
-(** Timestamp of the earliest entry, if any. *)
-
 val min_time_or : 'a t -> int64 -> int64
-(** [min_time_or h default] is {!min_time} without the option box:
-    [default] when empty. *)
+(** [min_time_or h default] is the timestamp of the earliest entry, or
+    [default] when empty; no option is allocated. *)
 
 exception Empty
 
 val pop_exn : 'a t -> 'a
 (** Remove and return the earliest entry's value without materializing
-    the [(time, value)] pair — the allocation-free {!pop}. Ties break
-    in insertion order. @raise Empty when the heap is empty. *)
-
-val pop : 'a t -> (int64 * 'a) option
-(** Remove and return the earliest entry; [None] when empty. Ties break in
-    insertion order. *)
+    a [(time, value)] pair. Ties break in insertion order; read the
+    entry's time first with {!min_time_or}.
+    @raise Empty when the heap is empty. *)
 
 val clear : 'a t -> unit
 (** Drop all entries. *)

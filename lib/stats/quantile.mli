@@ -35,21 +35,3 @@ module Sketch : sig
   (** Deterministic digest of the full bucket state, for bit-for-bit
       replay checks. *)
 end
-
-module P2 : sig
-  (** Jain & Chlamtac's P-squared single-quantile estimator: five
-      markers, parabolic interpolation, O(1) memory. Not mergeable —
-      use {!Sketch} for sharded collection. *)
-
-  type t
-
-  val create : float -> t
-  (** [create p] for the target quantile [p] in (0,1). *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-
-  val value : t -> float
-  (** Current estimate; exact (nearest-rank over the buffered samples)
-      while fewer than five observations have arrived. *)
-end

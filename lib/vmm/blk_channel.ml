@@ -12,19 +12,10 @@ type t = {
   mutable back_port : Hcall.port option;
 }
 
-let next_key = ref 0
-
-let create ?(ring_size = 32) ?key () =
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        incr next_key;
-        Printf.sprintf "device/blk/%d" !next_key
-  in
+let create ?(ring_size = 32) ~index () =
   {
     ring = Ring.create ~capacity:ring_size ();
-    key;
+    key = Printf.sprintf "device/blk/%d" index;
     front_dom = None;
     offer_port = None;
     front_port = None;

@@ -21,8 +21,9 @@ type t = {
   mutable back_port : Hcall.port option;
 }
 
-val create : ?ring_size:int -> ?key:string -> unit -> t
-(** Default ring size 32 slots; [key] defaults to a fresh
-    ["device/blk/<n>"] name. *)
+val create : ?ring_size:int -> index:int -> unit -> t
+(** Default ring size 32 slots. The connection's XenStore directory is
+    ["device/blk/<index>"], so [index] must be unique among the block
+    channels of one machine. *)
 
 val ring_cost : int

@@ -24,6 +24,7 @@ module Apps = Vmk_workloads.Apps
 module Port_l4 = Vmk_guest.Port_l4
 module Port_xen = Vmk_guest.Port_xen
 module Exp_e13 = Vmk_core.Exp_e13
+module Exp_e18 = Vmk_core.Exp_e18
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -264,7 +265,7 @@ let test_watchdog_respawns_dead_server () =
 let test_dom0_drops_unconnected_channel () =
   let mach = Machine.create ~seed:13L () in
   let h = Hypervisor.create mach in
-  let chan = Blk_channel.create () in
+  let chan = Blk_channel.create ~index:1 () in
   let _ =
     Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
       (Dom0.body mach ~connect_timeout:100_000L ~blk:[ chan ])
@@ -531,7 +532,7 @@ let test_vmm_rides_out_repeated_kills () =
   let ops = 40 in
   let mach = Machine.create ~seed:35L () in
   let h = Hypervisor.create mach in
-  let bchan = Blk_channel.create () in
+  let bchan = Blk_channel.create ~index:1 () in
   let make ~restart () =
     Dom0.body mach ~connect_timeout:10_000_000L ~generation:restart
       ~blk:[ bchan ] ()
@@ -586,6 +587,21 @@ let test_e13_runs_are_deterministic () =
   let d = Exp_e13.run_one ~stack:`Vmm ~rate:35 ~quick:true in
   check_bool "identical metrics (vmm)" true (c = d)
 
+(* E18's run record: a same-configuration rerun gives an equal
+   fingerprint, and killing the net backend gives another one. *)
+let test_e18_fingerprints () =
+  let fp r = r.Exp_e18.b_fp in
+  let xen kill =
+    Exp_e18.xen_run ~quick:true ~mode:Exp_e18.Disaggregated ~kill
+  in
+  let xen_base = xen false in
+  check_bool "xen rerun, same fingerprint" true (fp xen_base = fp (xen false));
+  check_bool "xen kill, another fingerprint" false (fp xen_base = fp (xen true));
+  let l4 kill = Exp_e18.l4_run ~quick:true ~kill in
+  let l4_base = l4 false in
+  check_bool "l4 rerun, same fingerprint" true (fp l4_base = fp (l4 false));
+  check_bool "l4 kill, another fingerprint" false (fp l4_base = fp (l4 true))
+
 let suite =
   [
     Alcotest.test_case "disk Fail window is deterministic" `Quick
@@ -628,4 +644,6 @@ let suite =
       test_l4_rides_out_repeated_kills;
     Alcotest.test_case "VMM rides out three repeated kills" `Quick
       test_vmm_rides_out_repeated_kills;
+    Alcotest.test_case "E18 kill changes the run fingerprint" `Quick
+      test_e18_fingerprints;
   ]

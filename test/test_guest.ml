@@ -220,7 +220,7 @@ let test_l4_dead_gk_raises () =
 let test_xen_fs_through_split_driver () =
   let mach = Machine.create ~seed:5L () in
   let h = Hypervisor.create mach in
-  let chan = Blk_channel.create () in
+  let chan = Blk_channel.create ~index:1 () in
   let _dom0 =
     Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
       (Dom0.body mach ~blk:[ chan ])

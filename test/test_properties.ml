@@ -286,8 +286,10 @@ let prop_parallax_isolation =
     (fun (nclients, ops) ->
       let mach = Machine.create ~seed:83L () in
       let h = Hypervisor.create mach in
-      let upstream = Vmk_vmm.Blk_channel.create () in
-      let chans = List.init nclients (fun _ -> Vmk_vmm.Blk_channel.create ()) in
+      let upstream = Vmk_vmm.Blk_channel.create ~index:0 () in
+      let chans =
+        List.init nclients (fun i -> Vmk_vmm.Blk_channel.create ~index:(i + 1) ())
+      in
       let dom0 =
         Hypervisor.create_domain h ~name:"dom0" ~privileged:true
           (Vmk_vmm.Dom0.body mach ~blk:[ upstream ])

@@ -42,21 +42,22 @@ let test_clock_reset () =
 let test_heap_empty () =
   let h : int Heap.t = Heap.create () in
   check_bool "is_empty" true (Heap.is_empty h);
-  check_bool "pop empty" true (Heap.pop h = None);
-  check_bool "min_time empty" true (Heap.min_time h = None)
+  Alcotest.check_raises "pop_exn empty" Heap.Empty (fun () ->
+      ignore (Heap.pop_exn h));
+  check_i64 "min_time_or empty" 7L (Heap.min_time_or h 7L)
 
 let test_heap_orders_by_time () =
   let h = Heap.create () in
   Heap.push h ~time:30L "c";
   Heap.push h ~time:10L "a";
   Heap.push h ~time:20L "b";
-  let order = List.init 3 (fun _ -> snd (Option.get (Heap.pop h))) in
+  let order = List.init 3 (fun _ -> Heap.pop_exn h) in
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order
 
 let test_heap_fifo_on_ties () =
   let h = Heap.create () in
   List.iter (fun v -> Heap.push h ~time:5L v) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> snd (Option.get (Heap.pop h))) in
+  let order = List.init 4 (fun _ -> Heap.pop_exn h) in
   Alcotest.(check (list int)) "insertion order" [ 1; 2; 3; 4 ] order
 
 let test_heap_length_and_clear () =
@@ -75,9 +76,11 @@ let prop_heap_pops_sorted =
       let h = Heap.create () in
       List.iteri (fun i t -> Heap.push h ~time:(Int64.of_int t) i) times;
       let rec drain last =
-        match Heap.pop h with
-        | None -> true
-        | Some (t, _) -> Int64.compare last t <= 0 && drain t
+        Heap.is_empty h
+        ||
+        let t = Heap.min_time_or h Int64.max_int in
+        ignore (Heap.pop_exn h);
+        Int64.compare last t <= 0 && drain t
       in
       drain Int64.min_int)
 

@@ -1,4 +1,4 @@
-(* Tests for summaries, regression, histograms and table rendering. *)
+(* Tests for summaries, regression, table rendering and quantile sketches. *)
 
 open Vmk_stats
 
@@ -131,40 +131,6 @@ let prop_regression_residuals_sum_zero =
       in
       abs_float residual_sum < 1e-6 *. float_of_int (List.length points))
 
-(* --- Histogram --- *)
-
-let test_histogram_bucketing () =
-  let h = Histogram.create ~buckets:10 ~lo:0.0 ~hi:100.0 () in
-  Histogram.add h 5.0;
-  Histogram.add h 15.0;
-  Histogram.add h 15.5;
-  Histogram.add h 99.9;
-  check_int "bucket 0" 1 (Histogram.bucket_value h 0);
-  check_int "bucket 1" 2 (Histogram.bucket_value h 1);
-  check_int "bucket 9" 1 (Histogram.bucket_value h 9);
-  check_int "count" 4 (Histogram.count h)
-
-let test_histogram_under_overflow () =
-  let h = Histogram.create ~buckets:4 ~lo:0.0 ~hi:10.0 () in
-  Histogram.add h (-1.0);
-  Histogram.add h 10.0;
-  Histogram.add h 25.0;
-  check_int "underflow" 1 (Histogram.underflow h);
-  check_int "overflow" 2 (Histogram.overflow h)
-
-let test_histogram_mode () =
-  let h = Histogram.create ~buckets:5 ~lo:0.0 ~hi:50.0 () in
-  List.iter (Histogram.add h) [ 12.0; 13.0; 14.0; 42.0 ];
-  match Histogram.mode h with
-  | Some (lo, hi) ->
-      check_floatish "mode lo" 10.0 lo;
-      check_floatish "mode hi" 20.0 hi
-  | None -> Alcotest.fail "expected a mode"
-
-let test_histogram_rejects_bad_bounds () =
-  Alcotest.check_raises "hi <= lo" (Invalid_argument "Histogram.create: hi <= lo")
-    (fun () -> ignore (Histogram.create ~lo:1.0 ~hi:1.0 ()))
-
 (* --- Table --- *)
 
 let string_contains haystack needle =
@@ -280,25 +246,6 @@ let prop_sketch_merge_equals_single_stream =
              = Quantile.Sketch.quantile single q)
            [ 0.5; 0.99; 0.999 ])
 
-let test_p2_small_n_exact () =
-  (* Fewer observations than markers: P2 must fall back to exact ranks. *)
-  let p = Quantile.P2.create 0.5 in
-  check_float "empty" 0.0 (Quantile.P2.value p);
-  Quantile.P2.add p 9.0;
-  Quantile.P2.add p 1.0;
-  Quantile.P2.add p 5.0;
-  check_float "n=3 median" 5.0 (Quantile.P2.value p)
-
-let test_p2_tracks_median () =
-  let p = Quantile.P2.create 0.5 in
-  let rng = Vmk_sim.Rng.create ~seed:5L () in
-  for _ = 1 to 2000 do
-    Quantile.P2.add p (Vmk_sim.Rng.float rng 100.0)
-  done;
-  let v = Quantile.P2.value p in
-  Alcotest.(check bool) "median of U(0,100) near 50" true
-    (v > 45.0 && v < 55.0)
-
 let suite =
   [
     Alcotest.test_case "summary: empty" `Quick test_summary_empty;
@@ -322,12 +269,6 @@ let suite =
       test_regression_noisy_r2_below_one;
     Alcotest.test_case "regression: pearson signs" `Quick test_pearson_signs;
     QCheck_alcotest.to_alcotest prop_regression_residuals_sum_zero;
-    Alcotest.test_case "histogram: bucketing" `Quick test_histogram_bucketing;
-    Alcotest.test_case "histogram: under/overflow" `Quick
-      test_histogram_under_overflow;
-    Alcotest.test_case "histogram: mode" `Quick test_histogram_mode;
-    Alcotest.test_case "histogram: bad bounds" `Quick
-      test_histogram_rejects_bad_bounds;
     Alcotest.test_case "table: renders" `Quick test_table_renders_aligned;
     Alcotest.test_case "table: padding and limits" `Quick
       test_table_pads_short_rows;
@@ -341,8 +282,4 @@ let suite =
     Alcotest.test_case "quantile: rejects negatives" `Quick
       test_sketch_negative_rejected;
     QCheck_alcotest.to_alcotest prop_sketch_merge_equals_single_stream;
-    Alcotest.test_case "quantile: p2 small n exact" `Quick
-      test_p2_small_n_exact;
-    Alcotest.test_case "quantile: p2 tracks median" `Quick
-      test_p2_tracks_median;
   ]

@@ -685,7 +685,7 @@ let test_two_net_guests_demuxed () =
 
 let test_blk_roundtrip_through_dom0 () =
   let mach, h = fresh () in
-  let chan = Blk_channel.create () in
+  let chan = Blk_channel.create ~index:1 () in
   let tag = ref None in
   let _dom0 =
     Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
@@ -712,8 +712,10 @@ let test_blk_roundtrip_through_dom0 () =
 
 let parallax_scenario ~nclients =
   let mach, h = fresh () in
-  let upstream = Blk_channel.create () in
-  let client_chans = List.init nclients (fun _ -> Blk_channel.create ()) in
+  let upstream = Blk_channel.create ~index:0 () in
+  let client_chans =
+    List.init nclients (fun i -> Blk_channel.create ~index:(i + 1) ())
+  in
   let _dom0 =
     Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
       (Dom0.body mach ~blk:[ upstream ])
