@@ -40,25 +40,24 @@ type t = {
   quotas : (int, int) Hashtbl.t;  (** Domain -> handle-table cap. *)
   counters : Counter.set;
   burn : int -> unit;
-  lookup_cost : int;
-  derive_cost : int;
-  revoke_step_cost : int;
   mutable next_handle : handle;
 }
 
 exception Quota_exceeded of { q_dom : int; q_limit : int }
 
-let create ~counters ?(burn = fun _ -> ()) ?(lookup_cost = 40)
-    ?(derive_cost = 90) ?(revoke_step_cost = 120) () =
+(* Cycles charged per handle lookup, per handle created (minted,
+   derived or granted) and per node a revocation walk visits. *)
+let lookup_cost = 40
+let derive_cost = 90
+let revoke_step_cost = 120
+
+let create ~counters ?(burn = fun _ -> ()) () =
   {
     tables = Hashtbl.create 16;
     by_obj = Hashtbl.create 64;
     quotas = Hashtbl.create 8;
     counters;
     burn;
-    lookup_cost;
-    derive_cost;
-    revoke_step_cost;
     next_handle = 1;
   }
 
@@ -130,7 +129,7 @@ let mint t ~dom ~obj ~rights =
     raise
       (Quota_exceeded
          { q_dom = dom; q_limit = Option.value ~default:0 (quota t ~dom) });
-  t.burn t.derive_cost;
+  t.burn derive_cost;
   Counter.incr t.counters "cap.minted";
   let node =
     {
@@ -146,12 +145,12 @@ let mint t ~dom ~obj ~rights =
   node.n_handle
 
 let lookup t ~dom ~handle =
-  t.burn t.lookup_cost;
+  t.burn lookup_cost;
   Counter.incr t.counters "cap.lookups";
   Option.map info_of (find_node t ~dom ~handle)
 
 let check t ~dom ~handle ~need =
-  t.burn t.lookup_cost;
+  t.burn lookup_cost;
   Counter.incr t.counters "cap.lookups";
   match find_node t ~dom ~handle with
   | Some node when has node.n_rights need -> true
@@ -160,7 +159,7 @@ let check t ~dom ~handle ~need =
       false
 
 let derive t ~dom ~handle ~to_dom ~obj ~rights =
-  t.burn t.lookup_cost;
+  t.burn lookup_cost;
   Counter.incr t.counters "cap.lookups";
   match find_node t ~dom ~handle with
   | None ->
@@ -173,7 +172,7 @@ let derive t ~dom ~handle ~to_dom ~obj ~rights =
       end
       else if not (check_quota t ~dom:to_dom ~n:1) then Error `Quota
       else begin
-        t.burn t.derive_cost;
+        t.burn derive_cost;
         Counter.incr t.counters "cap.derived";
         let node =
           {
@@ -192,7 +191,7 @@ let derive t ~dom ~handle ~to_dom ~obj ~rights =
       end
 
 let grant t ~dom ~handle ~to_dom ~obj =
-  t.burn t.lookup_cost;
+  t.burn lookup_cost;
   Counter.incr t.counters "cap.lookups";
   match find_node t ~dom ~handle with
   | None ->
@@ -204,7 +203,7 @@ let grant t ~dom ~handle ~to_dom ~obj =
       if to_dom <> dom && not (check_quota t ~dom:to_dom ~n:1) then
         Error `Quota
       else begin
-      t.burn t.derive_cost;
+      t.burn derive_cost;
       Counter.incr t.counters "cap.granted";
       let node =
         {
@@ -255,7 +254,7 @@ let rec teardown t ~on_revoke ~removed ~maxd node ~depth =
     node.n_children;
   node.n_children <- [];
   unregister t node;
-  t.burn t.revoke_step_cost;
+  t.burn revoke_step_cost;
   Counter.incr t.counters "cap.revoked";
   incr removed;
   if depth > !maxd then maxd := depth;
@@ -267,7 +266,7 @@ let finish_revoke t ~removed ~maxd =
   { r_removed = !removed; r_max_depth = !maxd }
 
 let revoke t ~dom ~handle ~self ~on_revoke =
-  t.burn t.lookup_cost;
+  t.burn lookup_cost;
   Counter.incr t.counters "cap.lookups";
   match find_node t ~dom ~handle with
   | None ->

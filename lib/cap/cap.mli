@@ -67,9 +67,6 @@ type info = {
 val create :
   counters:Vmk_trace.Counter.set ->
   ?burn:(int -> unit) ->
-  ?lookup_cost:int ->
-  ?derive_cost:int ->
-  ?revoke_step_cost:int ->
   unit ->
   t
 (** [burn] charges cycles to whatever account is active at the call

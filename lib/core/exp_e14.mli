@@ -33,9 +33,16 @@ type run = {
 
 val run_case :
   ?seed:int64 -> ?coalesce:int -> kind:kind -> cores:int -> packets:int -> unit -> run
-(** The one SMP storm runner: one configuration at one core count
-    (seed default 14, E14's own). [coalesce] is E16's interrupt
-    mitigation factor (default 1, every packet interrupts). *)
+(** The one SMP storm: one configuration at one core count (seed
+    default 14, E14's own). Builds a fresh [cores]-vCPU machine, spawns
+    8 guests then the configuration's servers, and injects [packets]
+    512-byte packets round-robin over the guests, one every 400 cycles,
+    each costing its guest 2600 cycles of application work; runs to
+    completion. [coalesce] is E16's interrupt mitigation factor
+    (default 1, every packet interrupts). Deterministic per seed.
+
+    @raise Invalid_argument when [cores < 1] or [kind] is
+    [Vmm_fleet n] with [n < 1]. *)
 
 val irq_cycles : run -> int64
 (** Interrupt-entry cycles (the ["smp.irq"] account). *)

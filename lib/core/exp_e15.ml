@@ -29,16 +29,15 @@ module Port_l4 = Vmk_guest.Port_l4
 module Traffic = Vmk_workloads.Traffic
 module Apps = Vmk_workloads.Apps
 
-type stack = Vmm | Uk
+type stack = Scenario.stack = Vmm | Uk
 type mode = Naive | Policied
 
 let stacks = [ Vmm; Uk ]
 let modes = [ Naive; Policied ]
-let stack_label = function Vmm -> "vmm" | Uk -> "uk"
 let mode_label = function Naive -> "naive" | Policied -> "policied"
 
 let config_label stack mode =
-  Printf.sprintf "%s/%s" (stack_label stack) (mode_label mode)
+  Printf.sprintf "%s/%s" (Scenario.stack_label stack) (mode_label mode)
 
 (* 1x capacity: one packet per [capacity_period] cycles, which is also
    the token-bucket refill period of the policied configurations. The

@@ -9,9 +9,7 @@ val experiment : Experiment.t
     Shared with E16, which sweeps the same rig across delivery
     disciplines. *)
 
-type stack = Vmm | Uk
-
-val stack_label : stack -> string
+type stack = Scenario.stack = Vmm | Uk
 
 val capacity_period : stack -> int64
 (** 1x capacity: one packet per this many cycles, per structure. *)

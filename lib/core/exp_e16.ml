@@ -30,7 +30,7 @@ module Net_server = Vmk_ukernel.Net_server
 module Dom0 = Vmk_vmm.Dom0
 module E15 = Exp_e15
 
-type stack = E15.stack = Vmm | Uk
+type stack = Scenario.stack = Vmm | Uk
 type mode = Interrupt | Polling | Hybrid
 
 let stacks = [ Vmm; Uk ]
@@ -42,7 +42,7 @@ let mode_label = function
   | Hybrid -> "hybrid"
 
 let config_label stack mode =
-  Printf.sprintf "%s/%s" (E15.stack_label stack) (mode_label mode)
+  Printf.sprintf "%s/%s" (Scenario.stack_label stack) (mode_label mode)
 
 (* Same provisioning as E15. Mitigation hold-off window (hybrid) and
    poll timer period (polling-only): one capacity period, so at <=1x

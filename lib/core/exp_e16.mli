@@ -10,7 +10,7 @@ val experiment : Experiment.t
     The replay test drives single runs directly and compares their
     fingerprints bit-for-bit. *)
 
-type stack = Exp_e15.stack = Vmm | Uk
+type stack = Scenario.stack = Vmm | Uk
 type mode = Interrupt | Polling | Hybrid
 type run
 

@@ -44,9 +44,8 @@ module Port_xen = Vmk_guest.Port_xen
 module Port_l4 = Vmk_guest.Port_l4
 module Sys = Vmk_guest.Sys
 
-type stack = Vmm | Uk
+type stack = Scenario.stack = Vmm | Uk
 
-let stack_label = function Vmm -> "vmm" | Uk -> "uk"
 let guest_counts = [ 2; 4; 8 ]
 let packet_len = 512
 let sender_pace = 8_000
@@ -529,7 +528,7 @@ let experiment =
                   Table.add_row t
                     [
                       string_of_int n;
-                      stack_label s;
+                      Scenario.stack_label s;
                       string_of_int r.sent;
                       string_of_int r.received;
                       Table.cellf "%.0f" (Int64.to_float r.fab_cycles /. 1e3);
@@ -560,7 +559,7 @@ let experiment =
             (fun (s, r) ->
               Table.add_row t
                 [
-                  stack_label s;
+                  Scenario.stack_label s;
                   string_of_int r.sent;
                   string_of_int r.received;
                   Table.cellf "%.0f" r.cyc_pkt;
@@ -628,7 +627,7 @@ let experiment =
                 (fun (label, r) ->
                   Table.add_row t
                     [
-                      stack_label s;
+                      Scenario.stack_label s;
                       label;
                       string_of_int r.received;
                       string_of_int r.marks;
@@ -793,7 +792,7 @@ let experiment =
                    (List.map
                       (fun (s, (off, on)) ->
                         Printf.sprintf "%s: %d marks, %d backoffs, drops %d->%d"
-                          (stack_label s) on.marks on.backoffs off.vnet_drops
+                          (Scenario.stack_label s) on.marks on.backoffs off.vnet_drops
                           on.vnet_drops)
                       ecns))
               ecn_paces;

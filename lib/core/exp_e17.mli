@@ -34,7 +34,7 @@ val receiver :
     The replay test drives single runs directly and compares their
     fingerprints bit-for-bit. *)
 
-type stack = Vmm | Uk
+type stack = Scenario.stack = Vmm | Uk
 type run
 
 val pairwise : stack:stack -> guests:int -> count:int -> run

@@ -34,6 +34,12 @@
    between the empty-check and the recv (both happen inside the fiber
    with no intervening effect). *)
 
+(* The stack type of the core run-record module, named before
+   [Scenario] is rebound to the workloads module below. *)
+type stack = Scenario.stack = Vmm | Uk
+
+let stack_label = Scenario.stack_label
+
 module Machine = Vmk_hw.Machine
 module Cpu = Vmk_hw.Cpu
 module Engine = Vmk_sim.Engine
@@ -47,10 +53,6 @@ module Vnet = Vmk_vnet.Vnet
 module Token_bucket = Vmk_overload.Overload.Token_bucket
 module Bounded_queue = Vmk_overload.Overload.Bounded_queue
 module Weighted_buckets = Vmk_overload.Overload.Weighted_buckets
-
-type stack = Vmm | Uk
-
-let stack_name = function Vmm -> "vmm" | Uk -> "uk"
 
 type mode = Naive | Policied
 
@@ -590,7 +592,7 @@ let run ~quick =
     (fun l ->
       Table.add_row day_table
         [
-          Printf.sprintf "%s/%s" (stack_name l.l_stack) (mode_name l.l_mode);
+          Printf.sprintf "%s/%s" (stack_label l.l_stack) (mode_name l.l_mode);
           string_of_int l.l_flows;
           string_of_int l.l_injected;
           string_of_int l.l_delivered;

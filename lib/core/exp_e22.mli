@@ -6,7 +6,7 @@
 
 val experiment : Experiment.t
 
-type stack = Vmm | Uk
+type stack = Scenario.stack = Vmm | Uk
 
 val bench_slice : stack:stack -> unit -> int
 (** Run a small fixed-size day slice (quick schedule, naive mode) against

@@ -31,6 +31,9 @@ type outcome = {
 }
 
 type traffic_spec = Machine.t -> gate:(unit -> bool) -> Traffic.t
+type stack = Vmm | Uk
+
+let stack_label = function Vmm -> "vmm" | Uk -> "uk"
 
 let account_cycles outcome name =
   match List.assoc_opt name outcome.accounts with Some v -> v | None -> 0L

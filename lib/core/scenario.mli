@@ -22,6 +22,13 @@ type outcome = {
 type traffic_spec =
   Vmk_hw.Machine.t -> gate:(unit -> bool) -> Vmk_workloads.Traffic.t
 
+type stack = Vmm | Uk
+(** The two stacks the storm experiments (E15–E17, E22) compare: the
+    Xen-style VMM and the multi-server microkernel. *)
+
+val stack_label : stack -> string
+(** ["vmm"] or ["uk"]. *)
+
 val account_cycles : outcome -> string -> int64
 val counter : outcome -> string -> int
 

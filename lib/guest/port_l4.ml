@@ -55,7 +55,6 @@ type vnet = {
   v_port : int;  (** This guest's address on the fabric. *)
   v_rx : (int * int) Overload.Bounded_queue.t;  (** (tag, len) *)
   v_timeout : int64;  (** Rendezvous timeout on the data path. *)
-  v_ecn_delay : int64;  (** Sender pause after a marked reply. *)
   v_peers : (int, Sysif.tid) Hashtbl.t;  (** Resolved port -> gk tid. *)
   v_opened : (int, unit) Hashtbl.t;  (** Peers with the mapping set up. *)
   v_unknown : (int, unit) Hashtbl.t;  (** Negative lookup cache. *)
@@ -63,9 +62,10 @@ type vnet = {
   mutable v_received : int;
 }
 
-let vnet ~mach ~port ?(rx_capacity = 64)
-    ?(rx_policy = Overload.Bounded_queue.Reject) ?mark_at
-    ?(timeout = 2_000_000L) ?(ecn_delay = 100_000L) () =
+(* Sender pause after a marked reply. *)
+let ecn_delay = 100_000L
+
+let vnet ~mach ~port ?(rx_capacity = 64) ?mark_at ?(timeout = 2_000_000L) () =
   if port < 1 then invalid_arg "Port_l4.vnet: port < 1";
   let c = mach.Machine.counters in
   {
@@ -80,10 +80,9 @@ let vnet ~mach ~port ?(rx_capacity = 64)
       };
     v_port = port;
     v_rx =
-      Overload.Bounded_queue.create ~policy:rx_policy ?mark_at
-        ~capacity:rx_capacity ();
+      Overload.Bounded_queue.create ~policy:Overload.Bounded_queue.Reject
+        ?mark_at ~capacity:rx_capacity ();
     v_timeout = timeout;
-    v_ecn_delay = ecn_delay;
     v_peers = Hashtbl.create 8;
     v_opened = Hashtbl.create 8;
     v_unknown = Hashtbl.create 8;
@@ -256,7 +255,7 @@ let vnet_send st v ~len ~tag peer =
         if Array.length w > 0 && w.(0) = 1 then begin
           (* Receiver past its watermark: pace before it drops. *)
           Counter.incr_id counters v.v_ids.vi_ecn_backoff;
-          Sysif.sleep v.v_ecn_delay
+          Sysif.sleep ecn_delay
         end;
         Some (ok_reply ())
     | _, r when r.Sysif.label = Proto.busy -> None

@@ -7,7 +7,8 @@
 
 val account : string
 
-val run : Vmk_hw.Machine.t -> ?nic_buffers:int -> (unit -> unit) -> unit
-(** Run an application to completion on a fresh machine. Device waits
+val run : Vmk_hw.Machine.t -> (unit -> unit) -> unit
+(** Run an application to completion on a fresh machine, with 16 NIC
+    receive buffers posted. Device waits
     idle the virtual clock forward; [Sys_error] is raised into the app on
     device failure (e.g. blocking receive with no traffic left). *)

@@ -45,11 +45,9 @@ val create :
   Vmk_sim.Engine.t ->
   Irq.t ->
   irq_line:int ->
-  ?base_latency:int64 ->
-  ?per_byte_c100:int ->
   unit ->
   t
-(** Default latency: 40_000 cycles + 8 c/B (a fast 2005 disk with cache). *)
+(** Service latency: 40_000 cycles + 8 c/B (a fast 2005 disk with cache). *)
 
 val irq_line : t -> int
 

@@ -50,9 +50,9 @@ type fault = {
 }
 
 val create :
-  Vmk_sim.Engine.t -> Irq.t -> irq_line:int -> ?wire_delay:int64 -> unit -> t
-(** A NIC raising [irq_line] on the given controller. [wire_delay] is the
-    transmit completion latency (default 2000 cycles). *)
+  Vmk_sim.Engine.t -> Irq.t -> irq_line:int -> unit -> t
+(** A NIC raising [irq_line] on the given controller. A transmit
+    completes 2000 cycles after it is queued. *)
 
 val irq_line : t -> int
 

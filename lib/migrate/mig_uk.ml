@@ -70,9 +70,8 @@ let task_prims ~sink =
 let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
     ?(cfg = Migrate.precopy ())
     ?(link = Migrate.link ~page_cost:2_000 ~state_cost:4_000 ())
-    ?abort_at ?(plan = []) ?(start_after = 200_000L)
-    ?(seed = 53L) () =
-  let sends = steps / w.Workload.send_every in
+    ?abort_at ?(plan = []) ?(seed = 53L) () =
+  let sends = steps / Workload.send_every in
   (* --- source kernel --- *)
   let mach = Machine.create ~seed () in
   let k = Kernel.create mach in
@@ -135,7 +134,7 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
   let t_start = ref 0L and t_end = ref 0L in
   let _migd =
     Kernel.spawn k ~name:"migd" ~priority:1 (fun () ->
-        Sysif.sleep start_after;
+        Sysif.sleep Migrate.start_after;
         (* Gate on progress so the migration catches the task mid-run. *)
         while not (!g_done || image.Image.step * 3 >= steps) do
           Sysif.sleep 20_000L

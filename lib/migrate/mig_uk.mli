@@ -41,7 +41,6 @@ val migrate :
   ?link:Migrate.link ->
   ?abort_at:Migrate.phase * Migrate.abort_reason ->
   ?plan:Vmk_faults.Faults.plan ->
-  ?start_after:int64 ->
   ?seed:int64 ->
   unit ->
   result

@@ -16,7 +16,7 @@ let sink_key = 2
 let storm_key = 3
 let packet_len = 256
 
-let total_sends ~steps ~(w : Workload.t) = steps / w.Workload.send_every
+let total_sends ~steps = steps / Workload.send_every
 
 let reference ?(pages = 64) ?(steps = 400) ?(w = Workload.make ()) () =
   let img = Image.create ~pages in
@@ -96,9 +96,8 @@ let guest_prims front ~src =
 let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
     ?(cfg = Migrate.precopy ())
     ?(link = Migrate.link ~page_cost:2_000 ~state_cost:4_000 ())
-    ?abort_at ?(plan = []) ?(start_after = 200_000L)
-    ?(seed = 97L) () =
-  let sends = total_sends ~steps ~w in
+    ?abort_at ?(plan = []) ?(seed = 97L) () =
+  let sends = total_sends ~steps in
   (* --- source machine --- *)
   let mach = Machine.create ~seed () in
   let h = Hypervisor.create mach in
@@ -170,7 +169,7 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
   let t_start = ref 0L and t_end = ref 0L in
   let _migd =
     Hypervisor.create_domain h ~name:"migd" ~privileged:true (fun () ->
-        ignore (Hcall.block ~timeout:start_after ());
+        ignore (Hcall.block ~timeout:Migrate.start_after ());
         (* Migrate a guest that is actually mid-run: frontend handshakes
            take a while, so gate on progress, not just time. *)
         wait (fun () -> !g_done || image.Image.step * 3 >= steps);

@@ -43,23 +43,22 @@ val migrate :
   ?link:Migrate.link ->
   ?abort_at:Migrate.phase * Migrate.abort_reason ->
   ?plan:Vmk_faults.Faults.plan ->
-  ?start_after:int64 ->
   ?seed:int64 ->
   unit ->
   result
 (** One migration attempt. Defaults: 64 pages, 400 steps, the default
-    workload, {!Migrate.precopy}, no injection, daemon start after 200K
-    cycles, seed 97. [plan] is armed on the source machine with
-    {!Migrate.inject} as the [migration] callback (plus a kill hook for
-    ["guest"]), so time-based [Mig_fault] events drive the same abort
-    machinery as [abort_at]. *)
+    workload, {!Migrate.precopy}, no injection, seed 97; the daemon
+    starts after {!Migrate.start_after} cycles. [plan] is armed on the
+    source machine with {!Migrate.inject} as the [migration] callback
+    (plus a kill hook for ["guest"]), so time-based [Mig_fault] events
+    drive the same abort machinery as [abort_at]. *)
 
 val reference : ?pages:int -> ?steps:int -> ?w:Migrate.Workload.t -> unit ->
   Migrate.Image.t
 (** The uninterrupted execution's final image — a pure replay of the
     workload, which is exactly what an unmigrated guest computes. *)
 
-val total_sends : steps:int -> w:Migrate.Workload.t -> int
+val total_sends : steps:int -> int
 
 type handoff = {
   ho_mode : [ `Planned | `Crash ];

@@ -60,15 +60,17 @@ module Workload : sig
   type t = {
     hot : int;  (** Pages 0..hot-1 are rewritten every step. *)
     cold_every : int;  (** One cold page is rewritten every [cold_every] steps. *)
-    send_every : int;  (** A packet is sent every [send_every] steps. *)
-    step_cost : int;  (** Guest cycles burned per step. *)
   }
 
-  val make :
-    ?hot:int -> ?cold_every:int -> ?send_every:int -> ?step_cost:int ->
-    unit -> t
-  (** Defaults: [hot = 4], [cold_every = 16], [send_every = 8],
-      [step_cost = 2_000]. The steady-state dirty rate is roughly
+  val send_every : int
+  (** A packet is sent every [send_every] (8) steps. *)
+
+  val step_cost : int
+  (** Guest cycles burned per step (2000). *)
+
+  val make : ?hot:int -> ?cold_every:int -> unit -> t
+  (** Defaults: [hot = 4], [cold_every = 16]. The steady-state dirty
+      rate is roughly
       [hot + round_span / cold_every] pages per harvest — [hot] is the
       knob the E20 sweep turns.
       @raise Invalid_argument on non-positive fields. *)
@@ -181,6 +183,10 @@ val precopy : ?max_rounds:int -> ?threshold:int -> unit -> config
 
 val stop_and_copy : config
 (** [max_rounds = 0]: the checkpoint/restore configuration. *)
+
+val start_after : int64
+(** Cycles both stacks' migration daemons wait before the attempt
+    (200K), before gating on guest progress. *)
 
 val run :
   cfg:config -> session:session -> src:Image.t -> staging:Image.t ->

@@ -349,19 +349,17 @@ module Backoff = struct
   type t = {
     attempts : int;
     base : int64;
-    factor : int;
     cap : int64;
     jitter : int;
     rng : Rng.t;
   }
 
-  let create ?(attempts = 5) ?(base = 100_000L) ?(factor = 2)
-      ?(cap = 3_200_000L) ?(jitter = 1_000) rng =
+  let create ?(attempts = 5) ?(base = 100_000L) ?(cap = 3_200_000L)
+      ?(jitter = 1_000) rng =
     if attempts < 1 then invalid_arg "Backoff.create: attempts < 1";
     if Int64.compare base 0L < 0 then invalid_arg "Backoff.create: base < 0";
-    if factor < 1 then invalid_arg "Backoff.create: factor < 1";
     if jitter < 0 then invalid_arg "Backoff.create: jitter < 0";
-    { attempts; base; factor; cap; jitter; rng }
+    { attempts; base; cap; jitter; rng }
 
   let attempts t = t.attempts
 
@@ -369,7 +367,7 @@ module Backoff = struct
     let rec scale d n =
       if n <= 0 then d
       else
-        let next = Int64.mul d (Int64.of_int t.factor) in
+        let next = Int64.mul d 2L in
         if Int64.compare next t.cap >= 0 then t.cap else scale next (n - 1)
     in
     let backoff =

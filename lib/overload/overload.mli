@@ -185,7 +185,7 @@ module Weighted_buckets : sig
 end
 
 (** Client retry schedule: exponential backoff with seeded jitter.
-    Attempt [n] waits [min (base·factor^n) cap + jitter_n] cycles where
+    Attempt [n] waits [min (base·2^n) cap + jitter_n] cycles where
     [jitter_n] is a fresh draw in [\[0, jitter)] from the stream given at
     create time — deterministic per (seed, call sequence). *)
 module Backoff : sig
@@ -194,13 +194,12 @@ module Backoff : sig
   val create :
     ?attempts:int ->
     ?base:int64 ->
-    ?factor:int ->
     ?cap:int64 ->
     ?jitter:int ->
     Vmk_sim.Rng.t ->
     t
-  (** Defaults: 5 attempts, base 100k cycles, factor 2, cap 3.2M,
-      jitter 1000. Split the machine RNG for the stream. *)
+  (** Defaults: 5 attempts, base 100k cycles, cap 3.2M, jitter 1000.
+      Split the machine RNG for the stream. *)
 
   val attempts : t -> int
 

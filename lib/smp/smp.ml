@@ -96,11 +96,14 @@ type hot_ids = {
   id_shootdown_acks : int;
 }
 
+(* The interleaving granularity: each scheduling round runs every core,
+   in core-id order, for this many cycles of global time. *)
+let quantum = 1000
+let quantum64 = Int64.of_int quantum
+
 type t = {
   mach : Machine.t;
   ids : hot_ids;
-  quantum : int;
-  quantum64 : int64;
   cores : core array;
   mutable by_tid : thread array;  (** Slot [tid]; [nobody] when unused. *)
   mutable next_tid : int;
@@ -132,8 +135,7 @@ let nobody =
     mailbox = [];
   }
 
-let create ?(quantum = 1000) mach =
-  if quantum < 1 then invalid_arg "Smp.create: quantum must be positive";
+let create mach =
   let cores =
     Array.init (Machine.ncpus mach) (fun i ->
         {
@@ -156,8 +158,6 @@ let create ?(quantum = 1000) mach =
         id_shootdown_pages = Counter.id c "smp.shootdown.pages";
         id_shootdown_acks = Counter.id c "smp.shootdown.acks";
       };
-    quantum;
-    quantum64 = Int64.of_int quantum;
     cores;
     by_tid = Array.make 32 nobody;
     next_tid = 1;
@@ -383,7 +383,7 @@ let dispatch t core th =
     | _ -> park_recv th now
   end
   else if th.burn_left > 0 then begin
-    let step = min th.burn_left t.quantum in
+    let step = min th.burn_left quantum in
     Machine.burn_on t.mach ~cpu:core.hw step;
     th.burn_left <- th.burn_left - step;
     if th.st = Running then begin
@@ -520,10 +520,10 @@ let run ?until ?(max_rounds = 2_000_000) ?(tickless = true) t =
     else if rounds >= max_rounds then Rounds
     else begin
       let round_start = Engine.now eng in
-      t.round_end <- Int64.to_int round_start + t.quantum;
+      t.round_end <- Int64.to_int round_start + quantum;
       if not hop then refill t;
       if run_round t ~round_start then begin
-        Engine.burn eng t.quantum64;
+        Engine.burn eng quantum64;
         loop (rounds + 1) ~hop:false
       end
       else
@@ -543,14 +543,14 @@ let run ?until ?(max_rounds = 2_000_000) ?(tickless = true) t =
           let delta = max 1 (target - Int64.to_int (Engine.now eng)) in
           let step =
             if tickless then begin
-              if delta > t.quantum then
-                Engine.note_idle eng (Int64.of_int (delta - t.quantum));
+              if delta > quantum then
+                Engine.note_idle eng (Int64.of_int (delta - quantum));
               delta
             end
-            else if delta <= t.quantum then delta
+            else if delta <= quantum then delta
             else
-              let rem = delta mod t.quantum in
-              if rem = 0 then t.quantum else rem
+              let rem = delta mod quantum in
+              if rem = 0 then quantum else rem
           in
           Engine.burn eng (Int64.of_int step);
           loop (rounds + 1) ~hop:(step < delta)

@@ -35,12 +35,10 @@ type stop_reason =
   | Condition  (** The [until] predicate returned true. *)
   | Rounds  (** [max_rounds] exhausted. *)
 
-val create : ?quantum:int -> Vmk_hw.Machine.t -> t
-(** Executor over [machine]'s vCPU bank. [quantum] (default 1000
-    cycles) is the interleaving granularity: each scheduling round runs
-    every core, in core-id order, for one quantum of global time.
-
-    @raise Invalid_argument if [quantum < 1]. *)
+val create : Vmk_hw.Machine.t -> t
+(** Executor over [machine]'s vCPU bank. Each scheduling round runs
+    every core, in core-id order, for one quantum (1000 cycles) of
+    global time. *)
 
 val machine : t -> Vmk_hw.Machine.t
 val ncpus : t -> int

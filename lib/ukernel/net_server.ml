@@ -391,9 +391,10 @@ let handle_client st client (m : Sysif.msg) =
   end
   else reply_safely client (Sysif.msg Proto.error)
 
-let body mach ?(rx_buffers = 16) ?admit ?fair ?rx_capacity
-    ?(rx_policy = Overload.Bounded_queue.Drop_oldest) ?napi ?poll
-    ?(vnet = false) ?(vnet_flow_capacity = 64) () =
+(* Receive buffers posted to the NIC, and as many transmit buffers. *)
+let rx_buffers = 16
+
+let body mach ?admit ?fair ?rx_capacity ?napi ?poll ?(vnet = false) () =
   let st =
     let c = mach.Machine.counters in
     {
@@ -421,7 +422,7 @@ let body mach ?(rx_buffers = 16) ?admit ?fair ?rx_capacity
            Some
              {
                mac = Vnet.Mac_table.create ();
-               flows = Vnet.Flow_cache.create ~capacity:vnet_flow_capacity ();
+               flows = Vnet.Flow_cache.create ~capacity:64 ();
                registry = Hashtbl.create 8;
                rev = Hashtbl.create 8;
                svc = Sysif.cap_mint ~obj:0xE19 ~rights:Cap.r_full;
@@ -433,7 +434,8 @@ let body mach ?(rx_buffers = 16) ?admit ?fair ?rx_capacity
       (* [max_int] capacity = the naive unbounded queue (still tracks
          its high-water mark for the E15 report). *)
       rx_packets =
-        Overload.Bounded_queue.create ~policy:rx_policy
+        Overload.Bounded_queue.create
+          ~policy:Overload.Bounded_queue.Drop_oldest
           ~capacity:(Option.value rx_capacity ~default:max_int)
           ();
       rx_waiters = Queue.create ();

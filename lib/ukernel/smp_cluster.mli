@@ -1,58 +1,26 @@
-(** Multi-server microkernel stack on an SMP machine.
+(** Multi-server microkernel stack on an SMP machine: the per-packet
+    cost recipe.
 
     The E3 I/O-storm pipeline (NIC interrupt -> net server -> guest
-    app) rebuilt on {!Vmk_smp.Smp}: net servers hold per-core run
-    queues' worth of work, forward packets by IPC priced with the same
-    {!Costs} constants as the single-CPU kernel, and serialize
-    mapping-database updates under one spinlock. Guests batch buffer
-    unmaps into TLB-shootdown broadcasts.
+    app) priced for {!Vmk_smp.Smp} with the same {!Costs} constants as
+    the single-CPU kernel: net servers forward packets by IPC and
+    serialize mapping-database updates under one spinlock; guests batch
+    buffer unmaps into TLB-shootdown broadcasts. E14's storm
+    ([Vmk_core.Exp_e14]) runs it, with the servers colocated with their
+    guests or pinned to dedicated cores; E22 charges {!costs} per
+    packet. *)
 
-    Two placements probe the paper's multi-server claim:
-    {ul
-    {- [Colocated]: one net server per core, serving the guests on the
-       same core — IPC never crosses cores, throughput should scale
-       with core count.}
-    {- [Pinned]: servers get dedicated cores ([cores/4], at least one)
-       and every delivery is a cross-core IPC with an IPI wake — the
-       isolation-first arrangement, paying measurable IPI overhead.}} *)
+val driver_work : int
+(** Net-server driver cycles per packet, outside the lock. *)
 
-type placement = Colocated | Pinned
+val unmap_batch : int
+(** Guests unmap consumed buffers in TLB-shootdown batches of this many
+    packets, per the mapdb's lazy revoke. *)
 
-type config = {
-  cores : int;
-  placement : placement;
-  guests : int;
-  packets : int;  (** Total packets injected, split across guests. *)
-  packet_len : int;
-  period : int64;  (** Arrival period — E14 keeps it saturating. *)
-  app_cycles : int;  (** Per-packet application work in the guest. *)
-  coalesce : int;
-      (** Interrupt-mitigation factor (E16): 1 = one interrupt entry per
-          packet; [n] charges the full entry to every n-th packet only,
-          the rest arriving under the hold-off window at poll cost. *)
-}
-
-type result = {
-  completed : int;  (** Packets fully consumed by finished guests. *)
-  wall : int64;  (** Virtual time when the cluster went idle. *)
-  mach : Vmk_hw.Machine.t;  (** For counters and per-CPU accounts. *)
-  mapdb_acquisitions : int;
-  mapdb_contended : int;
-  mapdb_spin : int64;
-}
-
-val default : ?placement:placement -> cores:int -> unit -> config
-(** The E14 workload: 8 guests, 640 packets of 512 bytes arriving every
-    400 cycles, 2600 cycles of app work each. *)
+val handoff : Vmk_hw.Arch.profile -> int
+(** The IPC that hands the mapped page to the guest. *)
 
 val costs : Vmk_hw.Arch.profile -> Vmk_smp.Smp.costs
-(** A net server's per-packet recipe, the one {!run} charges: driver
-    work and the IPC handing the mapped page to the guest on the
-    server's own core, the mapping-database update under the shared
-    lock. *)
-
-val run : ?seed:int64 -> config -> result
-(** Build a fresh machine with [cfg.cores] vCPUs, run the pipeline to
-    completion. Deterministic per seed.
-
-    @raise Invalid_argument when [cores] or [guests] < 1. *)
+(** A net server's per-packet recipe: driver work and the IPC handing
+    the mapped page to the guest on the server's own core, the
+    mapping-database update under the shared lock. *)

@@ -12,7 +12,10 @@ type t = {
   mutable back_port : Hcall.port option;
 }
 
-let create ?(ring_size = 32) ~index () =
+(* Slots in the request ring. *)
+let ring_size = 32
+
+let create ~index () =
   {
     ring = Ring.create ~capacity:ring_size ();
     key = Printf.sprintf "device/blk/%d" index;

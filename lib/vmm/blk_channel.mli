@@ -21,8 +21,8 @@ type t = {
   mutable back_port : Hcall.port option;
 }
 
-val create : ?ring_size:int -> index:int -> unit -> t
-(** Default ring size 32 slots. The connection's XenStore directory is
+val create : index:int -> unit -> t
+(** A ring of 32 slots. The connection's XenStore directory is
     ["device/blk/<index>"], so [index] must be unique among the block
     channels of one machine. *)
 

@@ -11,13 +11,13 @@ let name = "bridge"
 let tag_dst tag = tag / 1_000_000
 let tag_src tag = tag mod 1_000_000 / 10_000
 
-let body mach ?connect_timeout ?generation ?net_admit ?fair ?mac_ttl
-    ?(flow_capacity = 64) ?(port_capacity = 64) ?mark_at ?(net = []) () =
+let body mach ?connect_timeout ?generation ?net_admit ?fair
+    ?(port_capacity = 64) ?mark_at ?(net = []) () =
   let mux = Evt_mux.create () in
   let now () = Engine.now mach.Machine.engine in
   let switch =
     Vnet.Switch.create ~counters:mach.Machine.counters ~burn:Hcall.burn
-      ?mac_ttl ~flow_capacity ~port_capacity ?mark_at ?fair ()
+      ~port_capacity ?mark_at ?fair ()
   in
   let dropped chan_key =
     Logs.warn (fun m ->

@@ -25,8 +25,6 @@ val body :
   ?generation:int ->
   ?net_admit:Vmk_overload.Overload.Token_bucket.t ->
   ?fair:Vmk_overload.Overload.Weighted_buckets.t ->
-  ?mac_ttl:int64 ->
-  ?flow_capacity:int ->
   ?port_capacity:int ->
   ?mark_at:int ->
   ?net:Net_channel.t list ->

@@ -23,7 +23,10 @@ type t = {
   mutable demux_key : int;
 }
 
-let create ~mode ?(ring_size = 64) ~demux_key () =
+(* Slots per ring, Xen-like. *)
+let ring_size = 64
+
+let create ~mode ~demux_key () =
   {
     mode;
     key = Printf.sprintf "device/net/%d" demux_key;

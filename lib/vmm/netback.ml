@@ -62,7 +62,6 @@ type t = {
   flip_posts : Hcall.gref Queue.t;
   copy_grants : Hcall.gref Queue.t;
   tx_pending : (int, Hcall.gref) Hashtbl.t;  (** frame index -> gref *)
-  nic_target : int;
   admit : Overload.Token_bucket.t option;
       (** Rx admission gate; [None] admits everything (naive). *)
   fair : Overload.Weighted_buckets.t option;
@@ -84,10 +83,13 @@ type t = {
   mutable dirty : bool;  (** Responses pushed since the last notify. *)
 }
 
+(* Receive buffers the backend keeps posted to the physical NIC. *)
+let nic_buffers = 16
+
 let restock_nic t =
   if t.attach_nic then
     while
-      Nic.rx_buffers_posted t.mach.Machine.nic < t.nic_target
+      Nic.rx_buffers_posted t.mach.Machine.nic < nic_buffers
       && not (Queue.is_empty t.pool)
     do
       Nic.post_rx_buffer t.mach.Machine.nic (Queue.take t.pool)
@@ -112,7 +114,7 @@ let pump_frontend_posts t =
 (* XenBus handshake; see {!Blkback.connect_opt} for the generation
    scheme shared by both backends. *)
 let connect_opt ?timeout ?(generation = 0) ?admit ?fair ?napi
-    ?(attach_nic = true) chan mach ?(nic_buffers = 16) () =
+    ?(attach_nic = true) chan mach () =
   let key = chan.Net_channel.key in
   let sub path =
     if generation = 0 then key ^ "/" ^ path
@@ -148,7 +150,6 @@ let connect_opt ?timeout ?(generation = 0) ?admit ?fair ?napi
                   flip_posts = Queue.create ();
                   copy_grants = Queue.create ();
                   tx_pending = Hashtbl.create 32;
-                  nic_target = nic_buffers;
                   admit;
                   fair;
                   napi;
@@ -186,9 +187,8 @@ let connect_opt ?timeout ?(generation = 0) ?admit ?fair ?napi
               Some t
           | exception Hcall.Hcall_error _ -> None))
 
-let connect ?admit ?fair ?napi ?attach_nic chan mach ?nic_buffers () =
-  Option.get
-    (connect_opt ?admit ?fair ?napi ?attach_nic chan mach ?nic_buffers ())
+let connect ?admit ?fair ?napi ?attach_nic chan mach () =
+  Option.get (connect_opt ?admit ?fair ?napi ?attach_nic chan mach ())
 
 let set_tx_handler t h = t.tx_handler <- Some h
 

@@ -58,7 +58,10 @@ let post_rx_buffer t frame =
                  (Net_channel.Rx_post_copy { rx_gref = gref }))
           then unpost t gref)
 
-let connect chan ~backend ?(arch = Arch.default) ?(rx_buffers = 32) () =
+(* Receive buffers posted at (re)connect. *)
+let rx_buffers = 32
+
+let connect chan ~backend ?(arch = Arch.default) () =
   let my_dom = Hcall.dom_id () in
   chan.Net_channel.front_dom <- Some my_dom;
   let offer = Hcall.evtchn_alloc_unbound backend in
@@ -259,7 +262,7 @@ let probe t =
   end;
   t.dead
 
-let reconnect t ?timeout ?(rx_buffers = 32) () =
+let reconnect t ?timeout () =
   let key = t.chan.Net_channel.key in
   let rec drain : 'a. (unit -> 'a option) -> unit =
    fun pop -> match pop () with Some _ -> drain pop | None -> ()

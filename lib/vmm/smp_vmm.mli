@@ -1,10 +1,10 @@
-(** Xen-style VMM stack on an SMP machine.
+(** Xen-style VMM stack on an SMP machine: the per-packet cost recipe.
 
     The E3 I/O-storm pipeline (NIC interrupt -> backend -> frontend
-    upcall) rebuilt on {!Vmk_smp.Smp} with credit-style per-core vCPU
-    scheduling, priced with the same {!Costs} constants as the
-    single-CPU hypervisor. Two backend layouts probe [CG05]'s
-    centralized-Dom0 bottleneck:
+    upcall) priced for {!Vmk_smp.Smp} with the same {!Costs} constants
+    as the single-CPU hypervisor. E14's storm ([Vmk_core.Exp_e14])
+    runs it; E22 charges {!costs} per packet. Three backend layouts
+    probe [CG05]'s centralized-Dom0 bottleneck:
     {ul
     {- [Single_dom0]: every packet's grant check and page flip runs in
        one domain pinned to core 0 — adding guest cores cannot add
@@ -22,42 +22,22 @@
 
 type backend = Single_dom0 | Driver_domains | Fixed_domains of int
 
-type config = {
-  cores : int;
-  backend : backend;
-  guests : int;
-  packets : int;  (** Total packets injected, split across guests. *)
-  packet_len : int;
-  period : int64;  (** Arrival period — E14 keeps it saturating. *)
-  app_cycles : int;  (** Per-packet application work in the guest. *)
-  coalesce : int;
-      (** Interrupt-mitigation factor (E16): 1 = one interrupt entry per
-          packet; [n] charges the full entry to every n-th packet only,
-          the rest arriving under the hold-off window at poll cost. *)
-}
+val netback_work : int
+(** Backend cycles per packet, outside the lock. *)
 
-type result = {
-  completed : int;  (** Packets fully consumed by finished guests. *)
-  wall : int64;  (** Virtual time when the stack went idle. *)
-  mach : Vmk_hw.Machine.t;  (** For counters and per-CPU accounts. *)
-  gnt_acquisitions : int;
-  gnt_contended : int;
-  gnt_spin : int64;
-}
+val frontend_work : int
+(** Guest frontend cycles per packet, on top of the upcall. *)
 
-val default : ?backend:backend -> cores:int -> unit -> config
-(** The E14 workload: 8 guests, 640 packets of 512 bytes arriving every
-    400 cycles, 2600 cycles of app work each. *)
+val flip_batch : int
+(** Flipped-out pages are invalidated in TLB-shootdown batches of this
+    many packets. *)
+
+val flip_cost : Vmk_hw.Arch.profile -> int
+(** One page flip: the fixed part plus two page-table updates. *)
 
 val costs : ?backend:backend -> Vmk_hw.Arch.profile -> Vmk_smp.Smp.costs
-(** The backend's per-packet recipe, the one {!run} charges: netback
-    work and the event-channel send outside the lock; grant check and
-    page flip under the global grant-table lock ([Single_dom0], the
-    default), or the flip under a private table and only the grant check
-    under the shared lock (driver domains). *)
-
-val run : ?seed:int64 -> config -> result
-(** Build a fresh machine with [cfg.cores] vCPUs, run the pipeline to
-    completion. Deterministic per seed.
-
-    @raise Invalid_argument when [cores] or [guests] < 1. *)
+(** The backend's per-packet recipe: netback work and the event-channel
+    send outside the lock; grant check and page flip under the global
+    grant-table lock ([Single_dom0], the default), or the flip under a
+    private table and only the grant check under the shared lock
+    (driver domains). *)

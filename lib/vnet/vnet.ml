@@ -463,7 +463,7 @@ module Switch = struct
   (* Per-port rx queue: one interleaved int ring (src, dst, len, tag
      at stride 4 — a queued packet is four stores into one cache
      line), grown geometrically on demand up to [port_capacity]. The
-     policy logic is inlined from {!Overload.Bounded_queue} (semantics
+     [Reject] logic is inlined from {!Overload.Bounded_queue} (semantics
      and counters identical). *)
   type port = {
     id : int;
@@ -506,7 +506,6 @@ module Switch = struct
     mac : Mac_table.t;
     flows : Flow_cache.t;
     port_capacity : int;
-    port_policy : Overload.Bounded_queue.policy;
     mark_at : int;  (* capacity + 1 = never marks *)
     fair : Overload.Weighted_buckets.t option;
     mutable by_id : port option array;  (* dense port table *)
@@ -520,9 +519,8 @@ module Switch = struct
 
   let no_burn (_ : int) = ()
 
-  let create ?counters ?(burn = no_burn) ?(mac_ttl = 1_000_000_000L)
-      ?(flow_capacity = 64) ?(port_capacity = 64)
-      ?(port_policy = Overload.Bounded_queue.Reject) ?mark_at ?fair () =
+  let create ?counters ?(burn = no_burn) ?(flow_capacity = 64)
+      ?(port_capacity = 64) ?mark_at ?fair () =
     if port_capacity < 1 then invalid_arg "Switch.create: port_capacity < 1";
     (match mark_at with
     | Some m when m < 1 -> invalid_arg "Switch.create: mark_at < 1"
@@ -541,10 +539,9 @@ module Switch = struct
       id_ecn_mark = cid Overload.ecn_mark_counter;
       burn;
       has_burn = burn != no_burn;
-      mac = Mac_table.create ~ttl:mac_ttl ();
+      mac = Mac_table.create ();
       flows = Flow_cache.create ~capacity:flow_capacity ();
       port_capacity;
-      port_policy;
       mark_at = Option.value mark_at ~default:(port_capacity + 1);
       fair;
       by_id = Array.make 16 None;
@@ -611,11 +608,6 @@ module Switch = struct
     Array.unsafe_set buf (b + 2) len;
     Array.unsafe_set buf (b + 3) tag
 
-  (* One destination-port enqueue under the port policy. Mirrors
-     [Bounded_queue.push]: Reject refuses the fresh packet,
-     Drop_oldest displaces the head (the fresh packet gets in; the
-     displaced head is the loss), Block_with_deadline degrades to a
-     refusal here — the switch has nobody to park. *)
   (* Double the ring (capped at [port_capacity]), unrolling to 0. *)
   let grow_ring t p =
     let cap = q_slots p in
@@ -629,6 +621,8 @@ module Switch = struct
     p.q_buf <- nbuf;
     p.q_head <- 0
 
+  (* One destination-port enqueue. A full queue refuses the fresh
+     packet, as [Bounded_queue.push] does under [Reject]. *)
   let[@inline] enqueue t port ~src ~dst ~len ~tag =
     if t.has_burn then t.burn enqueue_cost;
     if port.q_count < t.port_capacity then begin
@@ -639,24 +633,12 @@ module Switch = struct
       t.forwarded <- t.forwarded + 1;
       true
     end
-    else
-      match t.port_policy with
-      | Overload.Bounded_queue.Drop_oldest ->
-          port.q_head <-
-            (if port.q_head + 1 >= q_slots port then 0 else port.q_head + 1);
-          q_store port ~at:(port.q_head + port.q_count - 1) ~src ~dst ~len ~tag;
-          port.p_out <- port.p_out + 1;
-          t.forwarded <- t.forwarded + 1;
-          t.dropped <- t.dropped + 1;
-          note t t.id_drop;
-          note t t.id_overload_drop;
-          true
-      | Overload.Bounded_queue.Reject
-      | Overload.Bounded_queue.Block_with_deadline _ ->
-          t.dropped <- t.dropped + 1;
-          note t t.id_drop;
-          note t t.id_overload_drop;
-          false
+    else begin
+      t.dropped <- t.dropped + 1;
+      note t t.id_drop;
+      note t t.id_overload_drop;
+      false
+    end
 
   (* One forwarding decision: learn the source, admit (fair-share,
      keyed on the in-port), resolve via flow cache then MAC table,

@@ -109,10 +109,8 @@ module Switch : sig
   val create :
     ?counters:Vmk_trace.Counter.set ->
     ?burn:(int -> unit) ->
-    ?mac_ttl:int64 ->
     ?flow_capacity:int ->
     ?port_capacity:int ->
-    ?port_policy:Vmk_overload.Overload.Bounded_queue.policy ->
     ?mark_at:int ->
     ?fair:Vmk_overload.Overload.Weighted_buckets.t ->
     unit ->
@@ -121,7 +119,9 @@ module Switch : sig
       (default: free — unit tests). [fair] installs per-source-port
       weighted admission at the gate, before any lookup work.
       [mark_at] arms the ECN watermark on every port queue. Port
-      queues default to capacity 64, {!Vmk_overload.Overload.Bounded_queue.Reject}. *)
+      queues default to capacity 64; a full queue refuses the arriving
+      packet ({!Vmk_overload.Overload.Bounded_queue.Reject}). MAC
+      entries use the {!Mac_table} default TTL. *)
 
   val add_port : t -> id:int -> int
   (** Register a port (a guest's attachment point). Returns [id].

@@ -193,16 +193,39 @@ let test_burn_is_preemptible () =
 
 let test_e14_same_seed_identical () =
   (* Two runs of an E14 configuration with the same seed must agree on
-     every counter, every account and every per-CPU bucket. *)
+     every counter, every account and every per-CPU bucket; and the
+     check can fail: each configuration, and coalescing, leaves its own
+     fingerprint. *)
   let module E = Vmk_core.Exp_e14 in
+  let fingerprint ?coalesce kind =
+    (E.run_case ?coalesce ~kind ~cores:4 ~packets:96 ()).E.fp
+  in
+  let kinds =
+    [ E.Uk_colocated; E.Uk_pinned; E.Vmm_dom0; E.Vmm_drivers; E.Vmm_fleet 3 ]
+  in
+  let fps =
+    List.map
+      (fun kind ->
+        let a = fingerprint kind and b = fingerprint kind in
+        Alcotest.(check bool) "bit-for-bit identical" true (a = b);
+        a)
+      kinds
+  in
+  Alcotest.(check int)
+    "five configurations, five fingerprints" (List.length kinds)
+    (List.length (List.sort_uniq compare fps));
   List.iter
     (fun kind ->
-      let fingerprint () =
-        (E.run_case ~kind ~cores:4 ~packets:96 ()).E.fp
-      in
-      let a = fingerprint () and b = fingerprint () in
-      Alcotest.(check bool) "bit-for-bit identical" true (a = b))
-    [ E.Uk_colocated; E.Uk_pinned; E.Vmm_dom0; E.Vmm_drivers ]
+      Alcotest.(check bool)
+        (E.label kind ^ ": coalescing changes the fingerprint")
+        false
+        (fingerprint ~coalesce:8 kind = fingerprint ~coalesce:1 kind))
+    [ E.Uk_colocated; E.Vmm_drivers ];
+  Alcotest.check_raises "no cores" (Invalid_argument "Exp_e14.run_case: cores")
+    (fun () -> ignore (E.run_case ~kind:E.Vmm_dom0 ~cores:0 ~packets:8 ()));
+  Alcotest.check_raises "empty fleet"
+    (Invalid_argument "Exp_e14.run_case: Vmm_fleet") (fun () ->
+      ignore (E.run_case ~kind:(E.Vmm_fleet 0) ~cores:4 ~packets:8 ()))
 
 (* --- E21: tickless equivalence --- *)
 

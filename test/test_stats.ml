@@ -195,7 +195,7 @@ let test_sketch_constant_stream () =
 
 let test_sketch_bounded_error () =
   (* Mixed-magnitude stream: sketch quantiles stay within the advertised
-     relative error (2^-7 at the default bits=7; allow 2^-6 slack for
+     relative error (2^-7; allow 2^-6 slack for
      nearest-rank rounding at bucket edges). *)
   let rng = Vmk_sim.Rng.create ~seed:99L () in
   let xs = ref [] in
