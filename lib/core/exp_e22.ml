@@ -17,10 +17,10 @@
      the global grant lock), while the microkernel runs one net-server
      shard per core, paying IPC per packet plus a shared mapdb lock —
      the same cost recipes as the E14 storm models;
-   - per-shard streaming quantile sketches (fixed memory, exactly
-     mergeable) for per-packet latency and per-flow completion excess,
-     merged at the end for the global p50/p99/p999 — no O(n) sample
-     buffers anywhere on the hot path;
+   - per-shard streaming quantile sketches (bounded memory, allocated
+     per touched decade, exactly mergeable) for per-packet latency and
+     per-flow completion excess, merged at the end for the global
+     p50/p99/p999 — no O(n) sample buffers anywhere on the hot path;
    - E15 admission (per-shard token bucket) and E17 weighted fair share
      (per-tenant buckets) composed in the "policied" mode, which also
      closes the ROADMAP carry-over: the E15 admission shapes rerun on
@@ -102,6 +102,41 @@ let pareto_mean ~alpha ~lo ~hi =
   let a1 = 1.0 -. alpha and a2 = 2.0 -. alpha in
   let c = a1 /. ((fhi ** a1) -. (flo ** a1)) in
   c *. ((fhi ** a2) -. (flo ** a2)) /. a2
+
+(* --- the peak-hour test --- *)
+
+(* First cycle of each ramp segment: the least [c >= 0] with
+   [float_of_int c /. horizon >= start]. The predicate is monotone in
+   [c] and holds at [c = horizon] (every start is below 1), so
+   bisection on it finds the exact cycle at which [Scenario.ramp_mult]
+   switches segment. *)
+let segment_starts cfg =
+  let horizon = Int64.to_int cfg.Scenario.horizon
+  and horizon_f = Int64.to_float cfg.Scenario.horizon in
+  Array.map
+    (fun (start, _) ->
+      let lo = ref 0 and hi = ref horizon in
+      while !lo < !hi do
+        let mid = !lo + ((!hi - !lo) / 2) in
+        if float_of_int mid /. horizon_f >= start then hi := mid
+        else lo := mid + 1
+      done;
+      !lo)
+    cfg.Scenario.ramp
+
+(* [Scenario.ramp_mult cfg ~frac:(t0 / horizon) >= 0.95] as integer
+   compares against the segment starts, computed once per cell: the
+   segment in effect is the last one whose start is <= t0. *)
+let peak_test cfg =
+  let starts = segment_starts cfg in
+  let peak = Array.map (fun (_, mult) -> mult >= 0.95) cfg.Scenario.ramp in
+  let last = Array.length starts - 1 in
+  fun t0 ->
+    let k = ref last in
+    while !k > 0 && t0 < starts.(!k) do
+      decr k
+    done;
+    peak.(!k)
 
 (* --- one cell: a schedule run against one stack in one mode --- *)
 
@@ -186,10 +221,7 @@ let run_cell ~stack ~mode ~sched ?(seed = 220L) ?(pkt_gap = 400)
   for f = 0 to nflows - 1 do
     rem.(f) <- Scenario.size sched f
   done;
-  let horizon_f = Int64.to_float cfg.Scenario.horizon in
-  let peak_of t0 =
-    Scenario.ramp_mult cfg ~frac:(float_of_int t0 /. horizon_f) >= 0.95
-  in
+  let peak_of = peak_test cfg in
   let timely_pkts = ref 0
   and flows_done = ref 0
   and flows_timely = ref 0
@@ -278,17 +310,15 @@ let run_cell ~stack ~mode ~sched ?(seed = 220L) ?(pkt_gap = 400)
     let n = ref 0 in
     s.sh_sw_burn := 0;
     while !n < service_batch && not (Bounded_queue.is_empty s.sh_q) do
-      match Bounded_queue.pop s.sh_q with
-      | Some packed ->
-          s.sh_scratch.(!n) <- packed;
-          let f = packed land flow_mask in
-          let src = Scenario.src sched f and dst = Scenario.dst sched f in
-          ignore
-            (Vnet.Switch.forward_to s.sh_sw ~now:s.sh_cpu.Cpu.now ~in_port:src
-               ~src ~dst ~len:512 ~tag:f);
-          ignore (Vnet.Switch.discard s.sh_sw ~port:dst);
-          incr n
-      | None -> ()
+      let packed = Bounded_queue.pop_exn s.sh_q in
+      s.sh_scratch.(!n) <- packed;
+      let f = packed land flow_mask in
+      let src = Scenario.src sched f and dst = Scenario.dst sched f in
+      ignore
+        (Vnet.Switch.forward_to s.sh_sw ~now:s.sh_cpu.Cpu.now ~in_port:src
+           ~src ~dst ~len:512 ~tag:f);
+      ignore (Vnet.Switch.discard s.sh_sw ~port:dst);
+      incr n
     done;
     if !n = 0 then begin
       (* Queue empty. No engine event can run between this check and the
@@ -368,24 +398,34 @@ let run_cell ~stack ~mode ~sched ?(seed = 220L) ?(pkt_gap = 400)
             assert false (* Reject policy only *)
     end
   in
-  let gap64 = Int64.of_int pkt_gap in
-  let rec chain f seq at =
-    Engine.at engine at (fun () ->
+  (* Two preallocated engine events replay the schedule: [walk] fires
+     at each flow's start and [chain] at each later packet of a flow,
+     its int payload packing (packet seq, flow) as [seq lsl flow_bits
+     lor f]. Packet [seq] of flow [f] is due at [at f + seq * pkt_gap];
+     each event schedules its successor, so the heap holds one event per
+     flow in flight. *)
+  let chain =
+    Engine.handler engine (fun self p ->
+        let f = p land flow_mask and seq = p lsr flow_bits in
         inject_pkt f;
         if seq + 1 < Scenario.size sched f then
-          chain f (seq + 1) (Int64.add at gap64))
+          Engine.at_int engine
+            (Scenario.at sched f + ((seq + 1) * pkt_gap))
+            self
+            (p + (1 lsl flow_bits)))
   in
-  let rec walk i =
-    if i < nflows then
-      Engine.at engine
-        (Int64.of_int (Scenario.at sched i))
-        (fun () ->
-          inject_pkt i;
-          if Scenario.size sched i > 1 then
-            chain i 1 (Int64.add (Int64.of_int (Scenario.at sched i)) gap64);
-          walk (i + 1))
+  let walk =
+    Engine.handler engine (fun self i ->
+        inject_pkt i;
+        if Scenario.size sched i > 1 then
+          Engine.at_int engine
+            (Scenario.at sched i + pkt_gap)
+            chain
+            ((1 lsl flow_bits) lor i);
+        if i + 1 < nflows then
+          Engine.at_int engine (Scenario.at sched (i + 1)) self (i + 1))
   in
-  walk 0;
+  if nflows > 0 then Engine.at_int engine (Scenario.at sched 0) walk 0;
   let max_rounds =
     (Int64.to_int cfg.Scenario.horizon / 1000 * 8) + 4_000_000
   in

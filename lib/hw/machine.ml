@@ -67,8 +67,7 @@ let burn t cycles =
 
 let burn_on t ~cpu cycles =
   if cycles < 0 then invalid_arg "Machine.burn_on: negative cycles";
-  let c = Int64.of_int cycles in
-  Vmk_trace.Accounts.charge_current_on t.accounts ~cpu:cpu.Cpu.id c;
+  Vmk_trace.Accounts.charge_current_on t.accounts ~cpu:cpu.Cpu.id cycles;
   Cpu.advance cpu cycles
 
 let burn_copy t ~bytes = burn t (Arch.copy_cost t.arch ~bytes)

@@ -198,6 +198,10 @@ module Bounded_queue = struct
 
   let pop t = if t.len = 0 then None else Some (take t)
 
+  exception Empty
+
+  let pop_exn t = if t.len = 0 then raise Empty else take t
+
   let drop_head t =
     if t.len = 0 then false
     else begin

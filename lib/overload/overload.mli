@@ -127,6 +127,14 @@ module Bounded_queue : sig
   val push : 'a t -> now:int64 -> 'a -> 'a outcome
   val pop : 'a t -> 'a option
 
+  exception Empty
+
+  val pop_exn : 'a t -> 'a
+  (** The oldest item without an option box: a push/[pop_exn] cycle
+      allocates nothing once the ring has grown. Check {!is_empty}
+      first.
+      @raise Empty when the queue is empty. *)
+
   val drop_head : 'a t -> bool
   (** Discard the oldest item without materializing it — the
       allocation-free form of [ignore (pop t)]. [false] when empty. *)

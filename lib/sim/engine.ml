@@ -1,6 +1,7 @@
 type t = {
   clock : Clock.t;
   queue : (unit -> unit) Heap.t;
+  mutable arg : int;  (* payload of the int event being fired *)
   (* Tickless bookkeeping (E21): how much virtual time was jumped over
      instead of being stepped through quantum by quantum. Plain fields,
      not counters, so enabling them cannot perturb experiment dumps. *)
@@ -14,6 +15,7 @@ let create () =
   {
     clock = Clock.create ();
     queue = Heap.create ();
+    arg = 0;
     idle_jumps = 0;
     idle_skipped = 0L;
     burst_jumps = 0;
@@ -21,8 +23,28 @@ let create () =
   }
 let clock t = t.clock
 let now t = Clock.now t.clock
-let at t time f = Heap.push t.queue ~time f
-let after t delta f = Heap.push t.queue ~time:(Int64.add (now t) delta) f
+
+(* The queue keeps native-int times (a cycle count never nears 2^62);
+   a time past [max_int] is kept as [max_int], which the clock never
+   reaches. *)
+let max_time = Int64.of_int max_int
+
+let time_of time =
+  if Int64.compare time max_time > 0 then max_int else Int64.to_int time
+
+let at t time f = Heap.push t.queue ~time:(time_of time) ~arg:0 f
+let after t delta f = at t (Int64.add (now t) delta) f
+
+(* An int event is a thunk built once per handler that reads the
+   payload [dispatch_due] stores in [t.arg] just before calling it, so
+   scheduling one writes heap slots and allocates nothing. *)
+type handler = unit -> unit
+
+let handler t f =
+  let rec h () = f h t.arg in
+  h
+
+let at_int t time h arg = Heap.push t.queue ~time ~arg h
 
 (* The heap has no removal, so cancellation is flag-based: the queued
    closure checks its handle and fires only if still armed. *)
@@ -30,7 +52,7 @@ type handle = { mutable cancelled : bool }
 
 let at_cancellable t time f =
   let h = { cancelled = false } in
-  Heap.push t.queue ~time (fun () -> if not h.cancelled then f ());
+  at t time (fun () -> if not h.cancelled then f ());
   h
 
 let cancel h = h.cancelled <- true
@@ -53,7 +75,7 @@ let every t period f =
 
 let pending t = Heap.length t.queue
 
-let[@inline] next_due_or t default = Heap.min_time_or t.queue default
+let[@inline] next_due t = Heap.min_time_or t.queue max_int
 
 let note_burst t cycles =
   t.burst_jumps <- t.burst_jumps + 1;
@@ -72,7 +94,8 @@ let dispatch_due t =
   (* Allocation-free drain: no option/pair boxes on the per-event
      path (E21). [max_int] doubles as the empty sentinel; an empty
      queue can never be [<= now] because the clock never reaches it. *)
-  while Int64.compare (Heap.min_time_or t.queue Int64.max_int) (now t) <= 0 do
+  while Heap.min_time_or t.queue max_int <= Int64.to_int (now t) do
+    t.arg <- Heap.top_arg t.queue;
     (Heap.pop_exn t.queue) ()
   done
 
@@ -83,22 +106,19 @@ let burn t cycles =
 let idle_to_next t =
   if Heap.is_empty t.queue then false
   else begin
-    let time = Heap.min_time_or t.queue Int64.max_int in
-    let skipped = Int64.sub time (now t) in
-    if Int64.compare skipped 0L > 0 then begin
+    let time = Heap.min_time_or t.queue max_int in
+    let skipped = time - Int64.to_int (now t) in
+    if skipped > 0 then begin
       t.idle_jumps <- t.idle_jumps + 1;
-      t.idle_skipped <- Int64.add t.idle_skipped skipped
+      t.idle_skipped <- Int64.add t.idle_skipped (Int64.of_int skipped)
     end;
-    Clock.advance_to t.clock time;
+    Clock.advance_to t.clock (Int64.of_int time);
     dispatch_due t;
     true
   end
 
 let run ?until t =
-  let limit = match until with Some l -> l | None -> Int64.max_int in
-  while
-    (not (Heap.is_empty t.queue))
-    && Int64.compare (Heap.min_time_or t.queue Int64.max_int) limit <= 0
-  do
+  let limit = match until with Some l -> time_of l | None -> max_int in
+  while (not (Heap.is_empty t.queue)) && Heap.min_time_or t.queue max_int <= limit do
     ignore (idle_to_next t)
   done

@@ -23,6 +23,21 @@ val at : t -> int64 -> (unit -> unit) -> unit
 val after : t -> int64 -> (unit -> unit) -> unit
 (** [after t delta f] runs [f] [delta] cycles from now. *)
 
+type handler
+(** A preallocated int event: one function scheduled many times, each
+    time with its own [int] argument. *)
+
+val handler : t -> (handler -> int -> unit) -> handler
+(** [handler t f] builds, once, the event that {!at_int} schedules on
+    engine [t]. When it fires with [arg], it runs [f self arg], where
+    [self] is the handler itself, so an event can schedule itself
+    again. *)
+
+val at_int : t -> int -> handler -> int -> unit
+(** [at_int t time h arg] runs [h]'s function on [arg] when the clock
+    reaches native-int [time]. It shares {!at}'s queue and insertion
+    order, and once the queue has grown it allocates nothing. *)
+
 val every : t -> int64 -> (unit -> bool) -> unit
 (** [every t period f] runs [f] every [period] cycles starting one period
     from now, for as long as [f] returns [true]. *)
@@ -41,12 +56,11 @@ val cancelled : handle -> bool
 val pending : t -> int
 (** Number of queued events. *)
 
-val next_due_or : t -> int64 -> int64
-(** [next_due_or t default] is the due time of the earliest queued
-    event, without dispatching it, or [default] when none is queued.
-    Lets the SMP executor skip idle quanta straight to the next arrival;
-    it allocates nothing, since the tickless executors poll it every
-    dispatch. *)
+val next_due : t -> int
+(** The due time of the earliest queued event, without dispatching it,
+    or [max_int] when none is queued. Lets the SMP executor skip idle
+    quanta straight to the next arrival; it allocates nothing, since
+    the tickless executors poll it every dispatch. *)
 
 val note_burst : t -> int64 -> unit
 (** Record that an executor fast-forwarded a compute burst of the given

@@ -1,62 +1,68 @@
-type 'a entry = { time : int64; seq : int; value : 'a }
-
+(* Entries live in parallel arrays, so a push writes slots and allocates
+   nothing once the arrays have grown. *)
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable args : int array;
+  mutable values : 'a array;  (* length 0 until the first push *)
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create () =
+  { times = [||]; seqs = [||]; args = [||]; values = [||]; size = 0; next_seq = 0 }
+
 let length h = h.size
 let is_empty h = h.size = 0
 
-let entry_lt a b =
-  match Int64.compare a.time b.time with
-  | 0 -> a.seq < b.seq
-  | c -> c < 0
+(* [value] fills the fresh slots: there is no witness of ['a] before the
+   first push. *)
+let grow h value =
+  let capacity = max 16 (2 * h.size) in
+  let ints a =
+    let b = Array.make capacity 0 in
+    Array.blit a 0 b 0 h.size;
+    b
+  in
+  h.times <- ints h.times;
+  h.seqs <- ints h.seqs;
+  h.args <- ints h.args;
+  let values = Array.make capacity value in
+  Array.blit h.values 0 values 0 h.size;
+  h.values <- values
 
-let grow h entry =
-  let capacity = max 16 (2 * Array.length h.data) in
-  let data = Array.make capacity entry in
-  Array.blit h.data 0 data 0 h.size;
-  h.data <- data
+let[@inline] set h i ~time ~seq ~arg value =
+  h.times.(i) <- time;
+  h.seqs.(i) <- seq;
+  h.args.(i) <- arg;
+  h.values.(i) <- value
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_lt h.data.(i) h.data.(parent) then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
-    end
-  end
+let[@inline] move h ~src ~dst =
+  set h dst ~time:h.times.(src) ~seq:h.seqs.(src) ~arg:h.args.(src)
+    h.values.(src)
 
-let rec sift_down h i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < h.size && entry_lt h.data.(left) h.data.(!smallest) then
-    smallest := left;
-  if right < h.size && entry_lt h.data.(right) h.data.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
+let[@inline] lt h i ~time ~seq =
+  let ti = h.times.(i) in
+  ti < time || (ti = time && h.seqs.(i) < seq)
 
-let push h ~time value =
-  let entry = { time; seq = h.next_seq; value } in
-  h.next_seq <- h.next_seq + 1;
-  if h.size = Array.length h.data then grow h entry;
-  h.data.(h.size) <- entry;
+let push h ~time ~arg value =
+  if h.size = Array.length h.values then grow h value;
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  (* Sift the hole up. The new entry has the largest sequence number,
+     so it passes a parent only on a strictly earlier time. *)
+  let i = ref h.size in
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  while !i > 0 && time < h.times.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    move h ~src:parent ~dst:!i;
+    i := parent
+  done;
+  set h !i ~time ~seq ~arg value
 
 (* The sentinel comes back when empty, so polling allocates nothing. *)
-let[@inline] min_time_or h default =
-  if h.size = 0 then default else h.data.(0).time
+let[@inline] min_time_or h default = if h.size = 0 then default else h.times.(0)
+let[@inline] top_arg h = h.args.(0)
 
 exception Empty
 
@@ -64,14 +70,37 @@ exception Empty
    @raise Empty when the heap is empty. *)
 let pop_exn h =
   if h.size = 0 then raise Empty;
-  let top = h.data.(0) in
-  h.size <- h.size - 1;
-  if h.size > 0 then begin
-    h.data.(0) <- h.data.(h.size);
-    sift_down h 0
+  let top = h.values.(0) in
+  let last = h.size - 1 in
+  h.size <- last;
+  if last > 0 then begin
+    (* Sift the former last entry down from the root as a hole. *)
+    let time = h.times.(last) and seq = h.seqs.(last) in
+    let i = ref 0 and go = ref true in
+    while !go do
+      let left = (2 * !i) + 1 in
+      if left >= last then go := false
+      else begin
+        let right = left + 1 in
+        let c =
+          if right < last && lt h right ~time:h.times.(left) ~seq:h.seqs.(left)
+          then right
+          else left
+        in
+        if lt h c ~time ~seq then begin
+          move h ~src:c ~dst:!i;
+          i := c
+        end
+        else go := false
+      end
+    done;
+    move h ~src:last ~dst:!i
   end;
-  top.value
+  top
 
 let clear h =
-  h.data <- [||];
+  h.times <- [||];
+  h.seqs <- [||];
+  h.args <- [||];
+  h.values <- [||];
   h.size <- 0

@@ -2,7 +2,9 @@
 
     The event queue of the discrete-event engine. Entries with equal
     timestamps pop in insertion order (FIFO), which the engine relies on
-    for deterministic device/interrupt interleaving. *)
+    for deterministic device/interrupt interleaving. Entries live in
+    parallel arrays, so once they have grown neither {!push} nor
+    {!pop_exn} allocates. *)
 
 type 'a t
 (** A min-heap of values of type ['a] keyed by time. *)
@@ -15,12 +17,17 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val push : 'a t -> time:int64 -> 'a -> unit
-(** [push h ~time v] queues [v] at timestamp [time]. *)
+val push : 'a t -> time:int -> arg:int -> 'a -> unit
+(** [push h ~time ~arg v] queues [v] at timestamp [time] with the int
+    payload [arg] (see {!top_arg}). *)
 
-val min_time_or : 'a t -> int64 -> int64
+val min_time_or : 'a t -> int -> int
 (** [min_time_or h default] is the timestamp of the earliest entry, or
-    [default] when empty; no option is allocated. *)
+    [default] when empty; nothing is allocated. *)
+
+val top_arg : 'a t -> int
+(** The int payload of the earliest entry; read it before {!pop_exn}.
+    Unspecified when empty. *)
 
 exception Empty
 

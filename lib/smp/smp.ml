@@ -34,10 +34,9 @@ let shootdown_base_cost = 150
 let shootdown_per_core_cost = 80
 
 (* "Never": the wake-up time of a thread parked on an empty mailbox, and
-   what the scans below return when nothing is scheduled. [far64] is the
-   same sentinel for the engine's queue. *)
+   what the scans below (and [Engine.next_due]) return when nothing is
+   scheduled. *)
 let far = max_int
-let far64 = Int64.of_int far
 
 type call =
   | Burn of int
@@ -57,12 +56,13 @@ type mail = { visible_at : int; mseq : int; mtag : int }
 type thread = {
   tid : tid;
   name : string;
-  account : string;
+  account : Accounts.id;
   cpu : int;
   weight : int;
   mutable credit : int;
   mutable st : state;
   mutable cont : (int, unit) Effect.Deep.continuation option;
+  mutable call : call;  (** The call the fiber suspended on. *)
   mutable pending : int;
   mutable body : (unit -> unit) option;
   mutable burn_left : int;
@@ -84,9 +84,10 @@ type core = {
   mutable pending_shootdown : int;
 }
 
-(* Pre-resolved counter ids for the cross-core hot path (E21): IPC
-   posts, IPIs, lock spins and shootdowns fire per message or per
-   acquisition. Spawn and crash counters stay string-keyed (cold). *)
+(* Pre-resolved counter ids and interned accounts for the cross-core
+   hot path (E21): IPC posts, IPIs, lock spins and shootdowns fire per
+   message or per acquisition. Spawn and crash counters stay
+   string-keyed (cold). *)
 type hot_ids = {
   id_irq : int;
   id_ipi : int;
@@ -94,6 +95,10 @@ type hot_ids = {
   id_shootdown : int;
   id_shootdown_pages : int;
   id_shootdown_acks : int;
+  acct_ipi : Accounts.id;
+  acct_irq : Accounts.id;
+  acct_spin : Accounts.id;
+  acct_shootdown : Accounts.id;
 }
 
 (* The interleaving granularity: each scheduling round runs every core,
@@ -116,17 +121,18 @@ type costs = { free : int; locked : int; irq : int }
 
 (* What a lookup of an unknown tid finds: already [Done], so every
    caller treats it like a finished thread. It is never scheduled, so
-   nothing writes to it. *)
+   nothing writes to it, and its account is never charged. *)
 let nobody =
   {
     tid = 0;
     name = "";
-    account = "";
+    account = Accounts.id (Accounts.create ()) "";
     cpu = 0;
     weight = 1;
     credit = 0;
     st = Done;
     cont = None;
+    call = Yield;
     pending = 0;
     body = None;
     burn_left = 0;
@@ -146,7 +152,7 @@ let create mach =
           pending_shootdown = 0;
         })
   in
-  let c = mach.Machine.counters in
+  let c = mach.Machine.counters and a = mach.Machine.accounts in
   {
     mach;
     ids =
@@ -157,6 +163,10 @@ let create mach =
         id_shootdown = Counter.id c "smp.shootdown";
         id_shootdown_pages = Counter.id c "smp.shootdown.pages";
         id_shootdown_acks = Counter.id c "smp.shootdown.acks";
+        acct_ipi = Accounts.id a "smp.ipi";
+        acct_irq = Accounts.id a "smp.irq";
+        acct_spin = Accounts.id a "smp.spin";
+        acct_shootdown = Accounts.id a "smp.shootdown";
       };
     cores;
     by_tid = Array.make 32 nobody;
@@ -183,12 +193,14 @@ let spawn t ~name ?account ~cpu ?(weight = 1) body =
     {
       tid;
       name;
-      account = Option.value account ~default:name;
+      account =
+        Accounts.id t.mach.Machine.accounts (Option.value account ~default:name);
       cpu;
       weight;
       credit = weight;
       st = Ready;
       cont = None;
+      call = Yield;
       pending = 0;
       body = Some body;
       burn_left = 0;
@@ -305,8 +317,8 @@ let rec handle t core th call =
         let spin = lk.free_at - now0 in
         lk.contended <- lk.contended + 1;
         lk.spin_cycles <- lk.spin_cycles + spin;
-        Accounts.charge_on t.mach.Machine.accounts ~cpu:th.cpu "smp.spin"
-          (Int64.of_int spin);
+        Accounts.charge_id_on t.mach.Machine.accounts ~cpu:th.cpu
+          t.ids.acct_spin spin;
         Counter.add_id counters t.ids.id_spin_cycles spin;
         Cpu.advance hw spin
       end;
@@ -339,6 +351,15 @@ let rec handle t core th call =
 
 and start_fiber t core th body =
   let open Effect.Deep in
+  (* One suspend handler per thread, built here: the effect handler
+     parks the call in [th.call] and hands back this same option, so a
+     suspend allocates no closure. *)
+  let suspend =
+    Some
+      (fun (kont : (int, unit) continuation) ->
+        th.cont <- Some kont;
+        handle t core th th.call)
+  in
   match_with body ()
     {
       retc = (fun () -> th.st <- Done);
@@ -350,10 +371,8 @@ and start_fiber t core th body =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Invoke call ->
-              Some
-                (fun (kont : (a, unit) continuation) ->
-                  th.cont <- Some kont;
-                  handle t core th call)
+              th.call <- call;
+              (suspend : ((a, unit) continuation -> unit) option)
           | _ -> None);
     }
 
@@ -371,7 +390,7 @@ and continue_thread t core th =
 
 let dispatch t core th =
   th.st <- Running;
-  Accounts.switch_to t.mach.Machine.accounts th.account;
+  Accounts.switch_to_id t.mach.Machine.accounts th.account;
   if th.waiting_recv then begin
     let now = now_of core.hw in
     match th.mailbox with
@@ -421,8 +440,8 @@ let earliest_ready core =
    there was any. *)
 let pay t core amount account =
   if amount > 0 then begin
-    Accounts.charge_on t.mach.Machine.accounts ~cpu:core.hw.Cpu.id account
-      (Int64.of_int amount);
+    Accounts.charge_id_on t.mach.Machine.accounts ~cpu:core.hw.Cpu.id account
+      amount;
     Cpu.advance core.hw amount;
     true
   end
@@ -437,11 +456,13 @@ let run_core t core ~round_start =
      Absorbing it is progress: it can push this core past the round
      end, and the global loop must keep burning quanta until the core
      re-enters a round window. *)
-  let paid_ipi = pay t core core.pending_ipi "smp.ipi" in
+  let paid_ipi = pay t core core.pending_ipi t.ids.acct_ipi in
   core.pending_ipi <- 0;
-  let paid_irq = pay t core core.pending_irq "smp.irq" in
+  let paid_irq = pay t core core.pending_irq t.ids.acct_irq in
   core.pending_irq <- 0;
-  let paid_shootdown = pay t core core.pending_shootdown "smp.shootdown" in
+  let paid_shootdown =
+    pay t core core.pending_shootdown t.ids.acct_shootdown
+  in
   core.pending_shootdown <- 0;
   let did = ref (paid_ipi || paid_irq || paid_shootdown) in
   let go = ref true in
@@ -527,7 +548,7 @@ let run ?until ?(max_rounds = 2_000_000) ?(tickless = true) t =
         loop (rounds + 1) ~hop:false
       end
       else
-        let due = Int64.to_int (Engine.next_due_or eng far64) in
+        let due = Engine.next_due eng in
         let wake = next_wakeup t in
         let target = if due <= wake then due else wake in
         if target = far then Idle
@@ -565,9 +586,12 @@ let run ?until ?(max_rounds = 2_000_000) ?(tickless = true) t =
 
 let invoke call = Effect.perform (Invoke call)
 let burn n = ignore (invoke (Burn n))
-let yield () = ignore (invoke Yield)
 
-let recv () = invoke Recv
+(* The argument-free calls perform one shared effect value each. *)
+let invoke_yield = Invoke Yield
+let invoke_recv = Invoke Recv
+let yield () = ignore (Effect.perform invoke_yield)
+let recv () = Effect.perform invoke_recv
 
 let send ~dst ~tag ~cycles = ignore (invoke (Send { dst; tag; cycles }))
 let locked lk ~cycles = ignore (invoke (Locked { lk; cycles }))

@@ -1,5 +1,6 @@
-(** Streaming quantile estimators: fixed memory, online, built for the
-    million-sample runs of E22 where O(n) sample buffers are off-limits. *)
+(** Streaming quantile estimators: bounded memory, allocated per touched
+    decade, online, built for the million-sample runs of E22 where O(n)
+    sample buffers are off-limits. *)
 
 module Sketch : sig
   (** Log-linear bucket sketch over non-negative integer samples with
@@ -13,10 +14,15 @@ module Sketch : sig
   val create : unit -> t
   (** An empty sketch with a 7-bit subbucket mantissa: quantile
       estimates are within relative error [2^-7]; values below [2^7]
-      are stored exactly. *)
+      are stored exactly. No bucket is allocated yet: each power-of-two
+      decade gets its [2^7] buckets on the first sample that lands in
+      it, so memory is bounded (57 decades) and grows only with the
+      decades a stream touches. *)
 
   val add : t -> int -> unit
-  (** O(1), allocation-free. Raises [Invalid_argument] on negatives. *)
+  (** O(1). Allocates only the bucket block of a decade not touched
+      before; an add into a touched decade allocates nothing. Raises
+      [Invalid_argument] on negatives. *)
 
   val count : t -> int
   val min_value : t -> int
@@ -29,9 +35,11 @@ module Sketch : sig
       Returns [0.0] on an empty sketch. *)
 
   val merge_into : into:t -> t -> unit
-  (** Elementwise bucket addition. *)
+  (** Elementwise bucket addition; decades [src] never touched are
+      skipped. *)
 
   val fingerprint : t -> int
   (** Deterministic digest of the full bucket state, for bit-for-bit
-      replay checks. *)
+      replay checks. It does not depend on which decades were
+      allocated, only on the counts. *)
 end

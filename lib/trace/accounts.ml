@@ -1,6 +1,6 @@
 (* Balances are native ints inside (a cycle count never nears 2^62) and
    become int64 only at the API, so a charge boxes nothing. *)
-type cell = { mutable total : int; mutable by_cpu : int array }
+type cell = { name : string; mutable total : int; mutable by_cpu : int array }
 
 type t = {
   balances : (string, cell) Hashtbl.t;
@@ -9,27 +9,32 @@ type t = {
   mutable max_cpu : int;  (* highest cpu index ever charged *)
 }
 
-let idle = "idle"
+type id = cell
 
-(* Cells are created on first use, by a charge or a switch, and never
-   removed; a cell never charged holds zeros, which every reader below
-   skips or sums away. *)
+let idle = "idle"
+let new_cell name = { name; total = 0; by_cpu = Array.make 1 0 }
+
+(* Cells are created on first use, by a charge, a switch or {!id}, and
+   never removed; a cell never charged holds zeros, which every reader
+   below skips or sums away. *)
 let cell t name =
   match Hashtbl.find t.balances name with
   | c -> c
   | exception Not_found ->
-      let c = { total = 0; by_cpu = Array.make 1 0 } in
+      let c = new_cell name in
       Hashtbl.add t.balances name c;
       c
 
+let id = cell
+
 let create () =
   let balances = Hashtbl.create 16 in
-  let c = { total = 0; by_cpu = Array.make 1 0 } in
+  let c = new_cell idle in
   Hashtbl.add balances idle c;
   { balances; current = idle; cur = c; max_cpu = 0 }
 
-let charge_cell t c ~cpu cycles =
-  if Int64.compare cycles 0L < 0 then invalid_arg "Accounts.charge: negative";
+let charge_cell t c ~cpu v =
+  if v < 0 then invalid_arg "Accounts.charge: negative";
   if cpu < 0 then invalid_arg "Accounts.charge: negative cpu";
   let n = Array.length c.by_cpu in
   if cpu >= n then begin
@@ -37,15 +42,18 @@ let charge_cell t c ~cpu cycles =
     Array.blit c.by_cpu 0 by_cpu 0 n;
     c.by_cpu <- by_cpu
   end;
-  let v = Int64.to_int cycles in
   c.total <- c.total + v;
   c.by_cpu.(cpu) <- c.by_cpu.(cpu) + v;
   if cpu > t.max_cpu then t.max_cpu <- cpu
 
-let charge_on t ~cpu name cycles = charge_cell t (cell t name) ~cpu cycles
+let charge_on t ~cpu name cycles =
+  charge_cell t (cell t name) ~cpu (Int64.to_int cycles)
+
 let charge t name cycles = charge_on t ~cpu:0 name cycles
-let charge_current t cycles = charge_cell t t.cur ~cpu:0 cycles
+let charge_current t cycles = charge_cell t t.cur ~cpu:0 (Int64.to_int cycles)
+
 let charge_current_on t ~cpu cycles = charge_cell t t.cur ~cpu cycles
+let charge_id_on t ~cpu c cycles = charge_cell t c ~cpu cycles
 
 (* Re-selecting the very string already current (a thread dispatched
    again on its core) skips the lookup. *)
@@ -53,6 +61,12 @@ let switch_to t name =
   if name != t.current then begin
     t.current <- name;
     t.cur <- cell t name
+  end
+
+let switch_to_id t c =
+  if c != t.cur then begin
+    t.current <- c.name;
+    t.cur <- c
   end
 
 let current t = t.current

@@ -29,11 +29,29 @@ val charge_on : t -> cpu:int -> string -> int64 -> unit
 val charge_current : t -> int64 -> unit
 (** Charge the account selected by {!switch_to}, on cpu 0. *)
 
-val charge_current_on : t -> cpu:int -> int64 -> unit
-(** Charge the current account on the given core. *)
+val charge_current_on : t -> cpu:int -> int -> unit
+(** Charge the current account on the given core. The charge is a
+    native int, so a per-burn charge boxes nothing.
+
+    @raise Invalid_argument on a negative charge or cpu index. *)
 
 val switch_to : t -> string -> unit
 (** Select the account that subsequent {!charge_current} calls hit. *)
+
+type id
+(** An interned account: a switch or charge through it hashes no
+    string. *)
+
+val id : t -> string -> id
+(** [id t name] interns [name]'s account (creating it, with zero
+    balances, if it is new). Interning changes no listing or total. *)
+
+val switch_to_id : t -> id -> unit
+(** {!switch_to} through an interned account. *)
+
+val charge_id_on : t -> cpu:int -> id -> int -> unit
+(** {!charge_on} through an interned account, with a native-int charge.
+    @raise Invalid_argument on a negative charge or cpu index. *)
 
 val current : t -> string
 

@@ -1079,10 +1079,8 @@ let burst_quantum k (tcb : tcb) =
   else begin
     let whole = tcb.burn_left - (tcb.burn_left mod timeslice) in
     let fits =
-      Int64.compare
-        (Int64.add (Machine.now k.mach) (Int64.of_int whole))
-        (Engine.next_due_or k.mach.Machine.engine Int64.max_int)
-      <= 0
+      Int64.to_int (Machine.now k.mach) + whole
+      <= Engine.next_due k.mach.Machine.engine
     in
     if fits && sole_runnable k tcb && no_irq_pending k then begin
       Engine.note_burst k.mach.Machine.engine

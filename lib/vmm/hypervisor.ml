@@ -1205,10 +1205,8 @@ let burst_quantum h (d : domain) =
   else begin
     let whole = d.burn_left - (d.burn_left mod timeslice) in
     let fits =
-      Int64.compare
-        (Int64.add (Machine.now h.mach) (Int64.of_int whole))
-        (Engine.next_due_or h.mach.Machine.engine Int64.max_int)
-      <= 0
+      Int64.to_int (Machine.now h.mach) + whole
+      <= Engine.next_due h.mach.Machine.engine
     in
     if fits && sole_runnable h d && no_irq_pending h then begin
       Engine.note_burst h.mach.Machine.engine

@@ -46,6 +46,11 @@ let diurnal =
     (0.85, 0.35);
   |]
 
+(* The sort key packs an arrival time (< 2^40, see [validate]) above a
+   flow's generation index (< 2^22). *)
+let index_bits = 22
+let time_bits = 62 - index_bits
+
 let validate cfg =
   if cfg.tenants < 1 || cfg.tenants > 4095 then
     invalid_arg "Scenario: tenants out of range";
@@ -58,6 +63,8 @@ let validate cfg =
   if cfg.on_mean <= 0.0 || cfg.off_mean <= 0.0 then
     invalid_arg "Scenario: dwell means must be positive";
   if Int64.compare cfg.horizon 1L < 0 then invalid_arg "Scenario: horizon < 1";
+  if Int64.compare cfg.horizon (Int64.shift_left 1L time_bits) > 0 then
+    invalid_arg "Scenario: horizon over 2^40 cycles";
   if Array.length cfg.ramp = 0 then invalid_arg "Scenario: empty ramp";
   if fst cfg.ramp.(0) <> 0.0 then invalid_arg "Scenario: ramp must start at 0";
   Array.iteri
@@ -70,10 +77,14 @@ let validate cfg =
     cfg.ramp
 
 let ramp_mult cfg ~frac =
-  (* Last segment whose start is <= frac; segments are sorted. *)
-  let m = ref (snd cfg.ramp.(0)) in
-  Array.iter (fun (start, mult) -> if frac >= start then m := mult) cfg.ramp;
-  !m
+  (* Last segment whose start is <= frac, else the first; a scan down
+     from the end, with no closure, that returns the ramp's own float. *)
+  let ramp = cfg.ramp in
+  let k = ref (Array.length ramp - 1) in
+  while !k > 0 && not (frac >= fst ramp.(!k)) do
+    decr k
+  done;
+  snd ramp.(!k)
 
 (* Bounded power-law ("Zipf") sampler by inversion of the truncated
    Pareto CDF on [lo, hi], discretised by flooring. Density ~ x^-alpha. *)
@@ -162,20 +173,21 @@ let generate ?(seed = 0xD47AC570L) ?tenant_rate cfg =
     done
   done;
   let n = bat.Buf.len in
-  if n >= 1 lsl 22 then invalid_arg "Scenario.generate: over 4M flows";
+  if n >= 1 lsl index_bits then invalid_arg "Scenario.generate: over 4M flows";
   (* Global chronological order; ties broken by generation order (tenant,
-     then sequence within tenant), which the pre-sort index encodes. *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      let c = compare bat.Buf.a.(i) bat.Buf.a.(j) in
-      if c <> 0 then c else compare i j)
-    order;
+     then sequence within tenant), which the pre-sort index encodes.
+     Each key (time, index) is one unique int, so a plain int sort
+     yields that order. *)
+  let keys =
+    Array.init n (fun i -> (bat.Buf.a.(i) lsl index_bits) lor i)
+  in
+  Array.sort Int.compare keys;
   let at = Array.make n 0 and meta = Array.make n 0 in
   let total = ref 0 in
   for i = 0 to n - 1 do
-    at.(i) <- bat.Buf.a.(order.(i));
-    meta.(i) <- bmeta.Buf.a.(order.(i));
+    let j = keys.(i) land ((1 lsl index_bits) - 1) in
+    at.(i) <- bat.Buf.a.(j);
+    meta.(i) <- bmeta.Buf.a.(j);
     total := !total + (meta.(i) land ((1 lsl 20) - 1))
   done;
   let fp = ref (Hashtbl.hash (n, cfg.tenants, cfg.guests)) in

@@ -22,7 +22,7 @@ type config = {
   ramp : (float * float) array;
       (** piecewise-constant rate ramp: (start fraction of horizon,
           multiplier); starts must begin at 0.0 and increase *)
-  horizon : int64;  (** length of the simulated day, cycles *)
+  horizon : int64;  (** length of the simulated day, cycles (1..2^40) *)
 }
 
 val flat : (float * float) array

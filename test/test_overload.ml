@@ -242,6 +242,25 @@ let test_overload_run_replays () =
   check_bool "virtual time advanced" true (Int64.compare wall_a 0L > 0);
   check_bool "packets arrived" true (arrivals_a <> [])
 
+let test_queue_push_pop_exn_allocation_free () =
+  let q = Bq.create ~capacity:64 () in
+  for i = 1 to 64 do
+    ignore (Bq.push q ~now:0L i)
+  done;
+  while not (Bq.is_empty q) do
+    ignore (Bq.pop_exn q)
+  done;
+  let sum = ref 0 in
+  let cycle () =
+    for i = 1 to 1000 do
+      ignore (Bq.push q ~now:0L i);
+      sum := !sum + Bq.pop_exn q
+    done
+  in
+  check_int "minor words for 1000 push/pop_exn pairs" 0 (Alloc.words cycle);
+  check_int "FIFO values" (1000 * 1001 / 2) !sum;
+  Alcotest.check_raises "empty" Bq.Empty (fun () -> ignore (Bq.pop_exn q))
+
 let suite =
   [
     Alcotest.test_case "bucket: burst then steady rate" `Quick
@@ -263,4 +282,6 @@ let suite =
       test_send_timeout_drops_sender;
     Alcotest.test_case "policied overload run replays bit-for-bit" `Quick
       test_overload_run_replays;
+    Alcotest.test_case "queue: push/pop_exn allocation-free" `Quick
+      test_queue_push_pop_exn_allocation_free;
   ]

@@ -44,26 +44,26 @@ let test_heap_empty () =
   check_bool "is_empty" true (Heap.is_empty h);
   Alcotest.check_raises "pop_exn empty" Heap.Empty (fun () ->
       ignore (Heap.pop_exn h));
-  check_i64 "min_time_or empty" 7L (Heap.min_time_or h 7L)
+  check_int "min_time_or empty" 7 (Heap.min_time_or h 7)
 
 let test_heap_orders_by_time () =
   let h = Heap.create () in
-  Heap.push h ~time:30L "c";
-  Heap.push h ~time:10L "a";
-  Heap.push h ~time:20L "b";
+  Heap.push h ~time:30 ~arg:0 "c";
+  Heap.push h ~time:10 ~arg:0 "a";
+  Heap.push h ~time:20 ~arg:0 "b";
   let order = List.init 3 (fun _ -> Heap.pop_exn h) in
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order
 
 let test_heap_fifo_on_ties () =
   let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~time:5L v) [ 1; 2; 3; 4 ];
+  List.iter (fun v -> Heap.push h ~time:5 ~arg:0 v) [ 1; 2; 3; 4 ];
   let order = List.init 4 (fun _ -> Heap.pop_exn h) in
   Alcotest.(check (list int)) "insertion order" [ 1; 2; 3; 4 ] order
 
 let test_heap_length_and_clear () =
   let h = Heap.create () in
   for i = 1 to 100 do
-    Heap.push h ~time:(Int64.of_int i) i
+    Heap.push h ~time:i ~arg:0 i
   done;
   check_int "length" 100 (Heap.length h);
   Heap.clear h;
@@ -74,15 +74,15 @@ let prop_heap_pops_sorted =
     QCheck.(list (int_bound 10_000))
     (fun times ->
       let h = Heap.create () in
-      List.iteri (fun i t -> Heap.push h ~time:(Int64.of_int t) i) times;
+      List.iteri (fun i t -> Heap.push h ~time:t ~arg:0 i) times;
       let rec drain last =
         Heap.is_empty h
         ||
-        let t = Heap.min_time_or h Int64.max_int in
+        let t = Heap.min_time_or h max_int in
         ignore (Heap.pop_exn h);
-        Int64.compare last t <= 0 && drain t
+        last <= t && drain t
       in
-      drain Int64.min_int)
+      drain min_int)
 
 (* --- Engine --- *)
 
@@ -224,6 +224,87 @@ let test_rng_pick_from_singleton () =
   let r = Rng.create () in
   check_int "only choice" 9 (Rng.pick r [| 9 |])
 
+(* --- allocation --- *)
+
+let test_heap_push_pop_allocation_free () =
+  let h = Heap.create () in
+  for i = 0 to 63 do
+    Heap.push h ~time:i ~arg:0 i
+  done;
+  while not (Heap.is_empty h) do
+    ignore (Heap.pop_exn h)
+  done;
+  let cycle () =
+    for i = 1 to 1000 do
+      Heap.push h ~time:7 ~arg:i i;
+      Heap.push h ~time:5 ~arg:i i;
+      ignore (Heap.pop_exn h);
+      ignore (Heap.pop_exn h)
+    done
+  in
+  check_int "minor words for 2000 push/pop pairs" 0 (Alloc.words cycle);
+  check_bool "drained" true (Heap.is_empty h)
+
+let test_heap_payload_follows_entry () =
+  let h = Heap.create () in
+  List.iter
+    (fun (time, arg) -> Heap.push h ~time ~arg (string_of_int arg))
+    [ (30, 3); (10, 1); (20, 2); (10, 4) ];
+  let popped =
+    List.init 4 (fun _ ->
+        let due = Heap.min_time_or h (-1) and arg = Heap.top_arg h in
+        (due, arg, Heap.pop_exn h))
+  in
+  Alcotest.(check (list (triple int int string)))
+    "time order, FIFO ties, payload kept"
+    [ (10, 1, "1"); (10, 4, "4"); (20, 2, "2"); (30, 3, "3") ]
+    popped;
+  check_int "empty sentinel" (-1) (Heap.min_time_or h (-1))
+
+let test_engine_int_events_in_order () =
+  (* Int events and thunks share one queue and one insertion order. *)
+  let e = Engine.create () in
+  let log = ref [] in
+  let h = Engine.handler e (fun _ arg -> log := arg :: !log) in
+  Engine.at_int e 20 h 2;
+  Engine.at e 10L (fun () -> log := 1 :: !log);
+  Engine.at_int e 10 h 11;
+  Engine.at e 20L (fun () -> log := 22 :: !log);
+  Engine.run e;
+  Alcotest.(check (list int)) "order" [ 1; 11; 2; 22 ] (List.rev !log)
+
+let test_engine_int_event_reschedules_itself () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let h =
+    Engine.handler e (fun self n ->
+        fired := (n, Engine.now e) :: !fired;
+        if n < 3 then Engine.at_int e ((n + 1) * 100) self (n + 1))
+  in
+  Engine.at_int e 100 h 1;
+  Engine.run e;
+  Alcotest.(check (list (pair int int64)))
+    "chain" [ (1, 100L); (2, 200L); (3, 300L) ] (List.rev !fired)
+
+let test_engine_int_events_allocation_free () =
+  let e = Engine.create () in
+  let sum = ref 0 in
+  let h = Engine.handler e (fun _ arg -> sum := !sum + arg) in
+  for i = 1 to 64 do
+    Engine.at_int e 0 h i
+  done;
+  Engine.dispatch_due e;
+  let cycle () =
+    for i = 1 to 1000 do
+      Engine.at_int e 0 h i;
+      Engine.at_int e 0 h i;
+      Engine.dispatch_due e
+    done
+  in
+  let words = Alloc.words cycle in
+  check_int "minor words for 2000 scheduled + dispatched events" 0 words;
+  check_int "every event fired" ((64 * 65 / 2) + (1000 * 1001)) !sum
+
 let suite =
   [
     Alcotest.test_case "clock: starts at zero" `Quick test_clock_starts_at_zero;
@@ -261,4 +342,14 @@ let suite =
     Alcotest.test_case "rng: exponential mean" `Quick test_rng_exponential_mean;
     Alcotest.test_case "rng: shuffle permutes" `Quick test_rng_shuffle_permutes;
     Alcotest.test_case "rng: pick singleton" `Quick test_rng_pick_from_singleton;
+    Alcotest.test_case "heap: push/pop allocation-free after growth" `Quick
+      test_heap_push_pop_allocation_free;
+    Alcotest.test_case "heap: int payload follows its entry" `Quick
+      test_heap_payload_follows_entry;
+    Alcotest.test_case "engine: int events share the queue order" `Quick
+      test_engine_int_events_in_order;
+    Alcotest.test_case "engine: int event reschedules itself" `Quick
+      test_engine_int_event_reschedules_itself;
+    Alcotest.test_case "engine: int events allocation-free" `Quick
+      test_engine_int_events_allocation_free;
   ]

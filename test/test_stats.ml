@@ -223,12 +223,137 @@ let test_sketch_negative_rejected () =
     (Invalid_argument "Quantile.Sketch.add: negative sample") (fun () ->
       Quantile.Sketch.add s (-1))
 
+(* Sample streams that reach every decade: 0, the 127/128 edge between
+   the exact unit buckets and the first log-linear decade, and values
+   of every bit length up to 2^62 - 1 (max_int). *)
+let gen_sample =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ 0; 127; 128; max_int ]);
+        (2, int_bound 1_000);
+        ( 5,
+          int_range 0 62 >>= fun k ->
+          map (fun x -> (x land max_int) lsr (62 - k)) int );
+      ])
+
+let arb_stream =
+  QCheck.make
+    ~print:QCheck.Print.(list int)
+    QCheck.Gen.(list_size (int_bound 200) gen_sample)
+
+(* The dense sketch as it was before buckets became per-decade blocks:
+   one flat 57 x 2^7 array, a boxed float sum, full scans. Kept here
+   as the reference the sparse one must match bit for bit. *)
+module Dense = struct
+  let bits = 7
+
+  type t = {
+    counts : int array;
+    mutable count : int;
+    mutable min : int;
+    mutable max : int;
+    mutable sum : float;
+  }
+
+  let create () =
+    {
+      counts = Array.make ((64 - bits) lsl bits) 0;
+      count = 0;
+      min = max_int;
+      max = 0;
+      sum = 0.0;
+    }
+
+  let msb v =
+    let rec go v p = if v lsr 1 = 0 then p else go (v lsr 1) (p + 1) in
+    go v 0
+
+  let index v =
+    if v < 1 lsl bits then v
+    else
+      let shift = msb v - bits in
+      ((shift + 1) lsl bits) + ((v lsr shift) - (1 lsl bits))
+
+  let repr i =
+    if i < 1 lsl bits then i
+    else
+      let shift = (i lsr bits) - 1 in
+      let mant = i land ((1 lsl bits) - 1) in
+      let lo = ((1 lsl bits) + mant) lsl shift in
+      lo + ((1 lsl shift) / 2)
+
+  let add t v =
+    t.counts.(index v) <- t.counts.(index v) + 1;
+    t.count <- t.count + 1;
+    if v < t.min then t.min <- v;
+    if v > t.max then t.max <- v;
+    t.sum <- t.sum +. float_of_int v
+
+  let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
+  let min_value t = if t.count = 0 then 0 else t.min
+
+  let quantile t q =
+    if t.count = 0 then 0.0
+    else begin
+      let target =
+        let r = int_of_float (ceil (q *. float_of_int t.count)) in
+        if r < 1 then 1 else if r > t.count then t.count else r
+      in
+      let cum = ref 0 and i = ref 0 and found = ref 0 in
+      (try
+         while !i < Array.length t.counts do
+           cum := !cum + t.counts.(!i);
+           if !cum >= target then begin
+             found := !i;
+             raise Exit
+           end;
+           incr i
+         done
+       with Exit -> ());
+      let v = repr !found in
+      let v = if v < t.min then t.min else if v > t.max then t.max else v in
+      float_of_int v
+    end
+
+  let fingerprint t =
+    let h = ref (Hashtbl.hash (bits, t.count, t.min, t.max)) in
+    Array.iteri
+      (fun i c -> if c > 0 then h := Hashtbl.hash (!h, i, c))
+      t.counts;
+    !h
+end
+
+let test_quantiles = [ 0.0; 0.5; 0.99; 0.999; 1.0 ]
+
+let prop_sketch_sparse_equals_dense =
+  QCheck.Test.make ~name:"sketch: sparse blocks == dense reference" ~count:300
+    arb_stream (fun xs ->
+      let s = Quantile.Sketch.create () and d = Dense.create () in
+      List.iter
+        (fun v ->
+          Quantile.Sketch.add s v;
+          Dense.add d v)
+        xs;
+      Quantile.Sketch.count s = d.Dense.count
+      && Quantile.Sketch.min_value s = Dense.min_value d
+      && Quantile.Sketch.max_value s = d.Dense.max
+      && Quantile.Sketch.mean s = Dense.mean d
+      && Quantile.Sketch.fingerprint s = Dense.fingerprint d
+      && List.for_all
+           (fun q -> Quantile.Sketch.quantile s q = Dense.quantile d q)
+           test_quantiles)
+
 let prop_sketch_merge_equals_single_stream =
   (* The load-bearing E22 property: merging per-shard sketches must be
      *bit-identical* to one sketch over the concatenated stream — that is
-     what makes lock-free per-core collection sound. *)
+     what makes lock-free per-core collection sound. Shards touch
+     different decades, so the merge also allocates blocks. *)
   QCheck.Test.make ~name:"sketch: merge of shards == single stream" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 5) (list_of_size Gen.(0 -- 60) (0 -- 1_000_000)))
+    QCheck.(
+      make
+        ~print:Print.(list (list int))
+        Gen.(list_size (int_range 1 5) (list_size (int_bound 60) gen_sample)))
     (fun shards ->
       let merged = Quantile.Sketch.create () in
       List.iter
@@ -240,11 +365,25 @@ let prop_sketch_merge_equals_single_stream =
       let single = Quantile.Sketch.create () in
       List.iter (Quantile.Sketch.add single) (List.concat shards);
       Quantile.Sketch.fingerprint merged = Quantile.Sketch.fingerprint single
+      && Quantile.Sketch.count merged = Quantile.Sketch.count single
+      && Quantile.Sketch.min_value merged = Quantile.Sketch.min_value single
+      && Quantile.Sketch.max_value merged = Quantile.Sketch.max_value single
       && List.for_all
            (fun q ->
              Quantile.Sketch.quantile merged q
              = Quantile.Sketch.quantile single q)
-           [ 0.5; 0.99; 0.999 ])
+           test_quantiles)
+
+let test_sketch_add_allocation_free () =
+  let s = Quantile.Sketch.create () in
+  Quantile.Sketch.add s 1_000 (* allocates the decade [512, 1024) *);
+  let ingest () =
+    for i = 1 to 1000 do
+      Quantile.Sketch.add s (512 + (i land 511))
+    done
+  in
+  check_int "minor words for 1000 adds" 0 (Alloc.words ingest);
+  check_int "all counted" 1001 (Quantile.Sketch.count s)
 
 let suite =
   [
@@ -282,4 +421,7 @@ let suite =
     Alcotest.test_case "quantile: rejects negatives" `Quick
       test_sketch_negative_rejected;
     QCheck_alcotest.to_alcotest prop_sketch_merge_equals_single_stream;
+    QCheck_alcotest.to_alcotest prop_sketch_sparse_equals_dense;
+    Alcotest.test_case "quantile: add allocation-free in a touched decade"
+      `Quick test_sketch_add_allocation_free;
   ]

@@ -120,10 +120,10 @@ let test_accounts_with_account_restores_on_exception () =
   check_i64 "restored account charged" 7L (Accounts.balance a "guest");
   let prev = Accounts.swap a "dom0" in
   Alcotest.(check string) "swap returns the previous" "guest" prev;
-  Accounts.charge_current_on a ~cpu:2 11L;
+  Accounts.charge_current_on a ~cpu:2 11;
   Accounts.restore a prev;
   Alcotest.(check string) "restored after swap" "guest" (Accounts.current a);
-  Accounts.charge_current_on a ~cpu:2 13L;
+  Accounts.charge_current_on a ~cpu:2 13;
   check_i64 "dom0 on cpu2" 11L (Accounts.cpu_balance a ~cpu:2 "dom0");
   check_i64 "guest on cpu2" 13L (Accounts.cpu_balance a ~cpu:2 "guest")
 
@@ -151,10 +151,10 @@ let test_accounts_switch_without_charge_invisible () =
 let test_accounts_charge_allocation_free () =
   let a = Accounts.create () in
   Accounts.switch_to a "srv";
-  Accounts.charge_current_on a ~cpu:3 1L (* sizes the per-cpu buckets *);
+  Accounts.charge_current_on a ~cpu:3 1 (* sizes the per-cpu buckets *);
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    Accounts.charge_current_on a ~cpu:3 2L
+    Accounts.charge_current_on a ~cpu:3 2
   done;
   let w1 = Gc.minor_words () in
   check_int "minor words for 10k charges" 0 (int_of_float (w1 -. w0));

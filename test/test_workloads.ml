@@ -263,6 +263,49 @@ let test_traffic_replay_open_loop () =
   check_int "count = total packets" (Scenario.total_packets s)
     (Traffic.injected t)
 
+(* E22's peak-hour test is integer compares against precomputed
+   segment starts; it must agree with the float predicate it replaces
+   on every cycle, so probe each start, its neighbours, and random
+   cycles, over horizons whose divisions round differently. *)
+let test_peak_cutoffs_match_ramp_mult () =
+  let rng = Rng.create ~seed:31L () in
+  List.iter
+    (fun (ramp, horizon) ->
+      let cfg = { small_cfg with Scenario.ramp; horizon } in
+      let horizon_f = Int64.to_float horizon in
+      let float_peak t0 =
+        Scenario.ramp_mult cfg ~frac:(float_of_int t0 /. horizon_f) >= 0.95
+      in
+      let peak = Vmk_core.Exp_e22.peak_test cfg in
+      let starts = Vmk_core.Exp_e22.segment_starts cfg in
+      Array.iteri
+        (fun k c ->
+          let start = fst ramp.(k) in
+          check_bool "start satisfies the predicate" true
+            (float_of_int c /. horizon_f >= start);
+          check_bool "start is the first such cycle" true
+            (c = 0 || float_of_int (c - 1) /. horizon_f < start);
+          List.iter
+            (fun t0 ->
+              if peak t0 <> float_peak t0 then
+                Alcotest.failf "horizon %Ld: t0 = %d disagrees" horizon t0)
+            [ c - 1; c; c + 1 ])
+        starts;
+      let span = Int64.to_int horizon + (Int64.to_int horizon / 4) + 1 in
+      for _ = 1 to 2000 do
+        let t0 = Rng.int rng span in
+        if peak t0 <> float_peak t0 then
+          Alcotest.failf "horizon %Ld: random t0 = %d disagrees" horizon t0
+      done)
+    [
+      (Scenario.diurnal, 2_000_000L);
+      (Scenario.diurnal, 1_234_567_891L);
+      (Scenario.diurnal, 999_999_937L);
+      (Scenario.diurnal, 7L);
+      (Scenario.flat, 2_000_000L);
+      (Scenario.flat, 1L);
+    ]
+
 let suite =
   [
     Alcotest.test_case "null_syscalls counts" `Quick test_null_syscalls_counts;
@@ -293,4 +336,6 @@ let suite =
       test_scenario_tenant_rate_hook;
     Alcotest.test_case "traffic: replay is open-loop" `Quick
       test_traffic_replay_open_loop;
+    Alcotest.test_case "scenario: E22 peak cutoffs match ramp_mult" `Quick
+      test_peak_cutoffs_match_ramp_mult;
   ]
