@@ -27,7 +27,7 @@
      the 8-core SMP machine as the knee-sweep axis below.
 
    Server/doorbell protocol: each shard owns a bounded ingress queue
-   (plain data, no Smp mailbox per packet — mailbox insertion is O(n)).
+   (plain data, no Smp mailbox message per packet).
    The injector posts a doorbell IPI only when the shard was parked in
    [recv] with an empty queue, so interrupts coalesce exactly like the
    E16 NAPI path; parking is race-free because no engine event can fire

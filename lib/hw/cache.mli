@@ -5,7 +5,14 @@
     primitives. We model a fully-associative LRU cache of line identifiers;
     each kernel path declares the code lines it touches ("ipc.path",
     [n] lines) and the model yields hit/miss counts and the extra refill
-    cycles caused by competing paths evicting each other. *)
+    cycles caused by competing paths evicting each other.
+
+    The LRU is exact: a miss into a full cache evicts the line whose
+    last touch is the oldest, the same line a most-recently-used-first
+    list would drop from its tail. {!touch} resolves its region once
+    (one string hash), then costs O(1) per line; a touch whose lines
+    are all resident allocates nothing. Storage grows on first touch,
+    by one slot per distinct line ever touched. *)
 
 type t
 

@@ -5,6 +5,7 @@ module Tlb = Vmk_hw.Tlb
 module Accounts = Vmk_trace.Accounts
 module Counter = Vmk_trace.Counter
 module Engine = Vmk_sim.Engine
+module Heap = Vmk_sim.Heap
 
 type tid = int
 
@@ -51,8 +52,6 @@ type _ Effect.t += Invoke : call -> int Effect.t
 
 type state = Ready | Running | Blocked | Done
 
-type mail = { visible_at : int; mseq : int; mtag : int }
-
 type thread = {
   tid : tid;
   name : string;
@@ -71,7 +70,10 @@ type thread = {
           visibility for receivers, [far] while parked with an empty
           mailbox. *)
   mutable waiting_recv : bool;
-  mutable mailbox : mail list;  (** Sorted by (visible_at, send seq). *)
+  mailbox : unit Heap.t;
+      (** Keyed by visibility time, the tag in the entry's int payload.
+          The heap breaks ties in insertion order, so messages come out
+          by (visibility time, send order). *)
 }
 
 type core = {
@@ -112,7 +114,6 @@ type t = {
   cores : core array;
   mutable by_tid : thread array;  (** Slot [tid]; [nobody] when unused. *)
   mutable next_tid : int;
-  mutable next_seq : int;
   mutable round_end : int;
 }
 
@@ -138,7 +139,7 @@ let nobody =
     burn_left = 0;
     ready_at = far;
     waiting_recv = false;
-    mailbox = [];
+    mailbox = Heap.create ();
   }
 
 let create mach =
@@ -171,7 +172,6 @@ let create mach =
     cores;
     by_tid = Array.make 32 nobody;
     next_tid = 1;
-    next_seq = 0;
     round_end = 0;
   }
 
@@ -206,7 +206,7 @@ let spawn t ~name ?account ~cpu ?(weight = 1) body =
       burn_left = 0;
       ready_at = 0;
       waiting_recv = false;
-      mailbox = [];
+      mailbox = Heap.create ();
     }
   in
   let cap = Array.length t.by_tid in
@@ -223,27 +223,20 @@ let spawn t ~name ?account ~cpu ?(weight = 1) body =
 
 (* --- mailboxes --- *)
 
-let rec insert_mail m = function
-  | x :: rest
-    when x.visible_at < m.visible_at
-         || (x.visible_at = m.visible_at && x.mseq <= m.mseq) ->
-      x :: insert_mail m rest
-  | l -> m :: l
-
 let park_recv th now =
   th.waiting_recv <- true;
-  match th.mailbox with
-  | m :: _ ->
-      th.st <- Ready;
-      th.ready_at <- (if m.visible_at > now then m.visible_at else now)
-  | [] ->
-      th.st <- Blocked;
-      th.ready_at <- far
+  let first = Heap.min_time_or th.mailbox far in
+  if first < far then begin
+    th.st <- Ready;
+    th.ready_at <- (if first > now then first else now)
+  end
+  else begin
+    th.st <- Blocked;
+    th.ready_at <- far
+  end
 
-let deliver t dst ~visible ~tag =
-  let m = { visible_at = visible; mseq = t.next_seq; mtag = tag } in
-  t.next_seq <- t.next_seq + 1;
-  dst.mailbox <- insert_mail m dst.mailbox;
+let deliver dst ~visible ~tag =
+  Heap.push dst.mailbox ~time:visible ~arg:tag ();
   if dst.waiting_recv then begin
     if dst.st = Blocked then dst.st <- Ready;
     if visible < dst.ready_at then dst.ready_at <- visible
@@ -260,7 +253,7 @@ let post t ?irq_cost ~dst tag =
     let core = t.cores.(d.cpu) in
     core.pending_irq <- core.pending_irq + cost;
     Counter.incr_id t.mach.Machine.counters t.ids.id_irq;
-    deliver t d ~visible:(Int64.to_int (Engine.now t.mach.Machine.engine)) ~tag
+    deliver d ~visible:(Int64.to_int (Engine.now t.mach.Machine.engine)) ~tag
   end
 
 (* --- syscall-style handling --- *)
@@ -306,7 +299,7 @@ let rec handle t core th call =
                visible after one cache-line transfer. *)
             now_of hw + cacheline_delay
         in
-        deliver t d ~visible ~tag
+        deliver d ~visible ~tag
       end;
       make_ready th ~at:(now_of hw)
   | Locked { lk; cycles } ->
@@ -393,13 +386,13 @@ let dispatch t core th =
   Accounts.switch_to_id t.mach.Machine.accounts th.account;
   if th.waiting_recv then begin
     let now = now_of core.hw in
-    match th.mailbox with
-    | m :: rest when m.visible_at <= now ->
-        th.mailbox <- rest;
-        th.waiting_recv <- false;
-        th.pending <- m.mtag;
-        continue_thread t core th
-    | _ -> park_recv th now
+    if Heap.min_time_or th.mailbox far <= now then begin
+      th.pending <- Heap.top_arg th.mailbox;
+      Heap.pop_exn th.mailbox;
+      th.waiting_recv <- false;
+      continue_thread t core th
+    end
+    else park_recv th now
   end
   else if th.burn_left > 0 then begin
     let step = min th.burn_left quantum in

@@ -310,16 +310,31 @@ let runnable_names h =
 
 let vburn h cycles = Machine.burn h.mach cycles
 
-let touch_region h region =
-  vburn h
-    (Cache.touch h.mach.Machine.icache ~region
-       ~lines:(Costs.icache_lines_for region))
+(* A hypercall path's i-cache region, its line count looked up once
+   here rather than on every hypercall. *)
+type icache_region = { region : string; lines : int }
+
+let icache_region region = { region; lines = Costs.icache_lines_for region }
+let hc_dispatch = icache_region "vmm.hcall.dispatch"
+let hc_sched = icache_region "vmm.hcall.sched"
+let hc_evtchn = icache_region "vmm.hcall.evtchn"
+let hc_grant_map = icache_region "vmm.hcall.grant_map"
+let hc_grant_transfer = icache_region "vmm.hcall.grant_transfer"
+let hc_pt = icache_region "vmm.hcall.pt"
+let hc_trap = icache_region "vmm.hcall.trap"
+let hc_memory = icache_region "vmm.hcall.memory"
+let hc_irq = icache_region "vmm.hcall.irq"
+let hc_syscall_bounce = icache_region "vmm.hcall.syscall_bounce"
+let hc_domctl = icache_region "vmm.hcall.domctl"
+
+let touch_region h { region; lines } =
+  vburn h (Cache.touch h.mach.Machine.icache ~region ~lines)
 
 let hypercall_overhead h region =
   let arch = h.mach.Machine.arch in
   Counter.incr_id h.mach.Machine.counters h.ids.id_hypercall;
   vburn h (arch.Arch.trap_cost + Costs.hypercall_fixed + arch.Arch.kernel_exit_cost);
-  touch_region h "vmm.hcall.dispatch";
+  touch_region h hc_dispatch;
   touch_region h region
 
 (* --- events --- *)
@@ -713,7 +728,7 @@ let do_syscall_trap h (d : domain) =
     vburn h
       (arch.Arch.trap_cost + Costs.syscall_bounce + arch.Arch.kernel_exit_cost
      + arch.Arch.trap_cost + arch.Arch.kernel_exit_cost);
-    touch_region h "vmm.hcall.syscall_bounce";
+    touch_region h hc_syscall_bounce;
     R_syscall Bounced
   end
 
@@ -788,19 +803,19 @@ let handle_hypercall h (d : domain) call =
       d.burn_left <- max 0 n;
       ready h d R_unit
   | H_dom_id ->
-      ( hypercall_overhead h "vmm.hcall.dispatch");
+      ( hypercall_overhead h hc_dispatch);
       ready h d (R_domid d.domid)
   | H_yield ->
-      ( hypercall_overhead h "vmm.hcall.sched");
+      ( hypercall_overhead h hc_sched);
       ready h d R_unit
   | H_poll ->
       (
-          hypercall_overhead h "vmm.hcall.evtchn";
+          hypercall_overhead h hc_evtchn;
           let ports = collect_events d in
           ready h d (R_block (Events ports)))
   | H_block { timeout } ->
       (
-          hypercall_overhead h "vmm.hcall.sched";
+          hypercall_overhead h hc_sched;
           if Hashtbl.length d.pending_events > 0 then
             ready h d (R_block (Events (collect_events d)))
           else begin
@@ -816,7 +831,7 @@ let handle_hypercall h (d : domain) call =
           end)
   | H_alloc_frames n ->
       (
-          hypercall_overhead h "vmm.hcall.memory";
+          hypercall_overhead h hc_memory;
           if n <= 0 then ready h d (R_error Out_of_memory)
           else
             match Frame.alloc_many h.mach.Machine.frames ~owner:d.name n with
@@ -826,14 +841,14 @@ let handle_hypercall h (d : domain) call =
             | exception Frame.Out_of_frames -> ready h d (R_error Out_of_memory))
   | H_evtchn_alloc_unbound allowed ->
       (
-          hypercall_overhead h "vmm.hcall.evtchn";
+          hypercall_overhead h hc_evtchn;
           let port = d.next_port in
           d.next_port <- d.next_port + 1;
           Hashtbl.add d.ports port (Unbound { allowed });
           ready h d (R_port port))
   | H_evtchn_bind { remote_dom; remote_port } ->
       (
-          hypercall_overhead h "vmm.hcall.evtchn";
+          hypercall_overhead h hc_evtchn;
           match find_alive h remote_dom with
           | None -> ready h d (R_error Dead_domain)
           | Some peer -> (
@@ -849,11 +864,11 @@ let handle_hypercall h (d : domain) call =
               | Some _ | None -> ready h d (R_error Bad_port)))
   | H_evtchn_send port ->
       (
-          hypercall_overhead h "vmm.hcall.evtchn";
+          hypercall_overhead h hc_evtchn;
           ready h d (do_evtchn_send h d port))
   | H_irq_bind line ->
       (
-          hypercall_overhead h "vmm.hcall.irq";
+          hypercall_overhead h hc_irq;
           if not d.privileged then ready h d (R_error Permission_denied)
           else if line < 0 || line >= Irq.lines h.mach.Machine.irq then
             ready h d (R_error Bad_port)
@@ -871,30 +886,30 @@ let handle_hypercall h (d : domain) call =
       ( ready h d (do_grant_revoke h d gref))
   | H_gnttab_map { dom; gref } ->
       (
-          hypercall_overhead h "vmm.hcall.grant_map";
+          hypercall_overhead h hc_grant_map;
           ready h d (do_grant_map h d ~dom ~gref))
   | H_gnttab_unmap { dom; gref } ->
       (
-          hypercall_overhead h "vmm.hcall.grant_map";
+          hypercall_overhead h hc_grant_map;
           ready h d (do_grant_unmap h d ~dom ~gref))
   | H_gnttab_transfer { to_dom; frame } ->
       (
-          hypercall_overhead h "vmm.hcall.grant_transfer";
+          hypercall_overhead h hc_grant_transfer;
           ready h d (do_grant_transfer h d ~to_dom ~frame))
   | H_gnttab_exchange { dom; gref; give } ->
       (
-          hypercall_overhead h "vmm.hcall.grant_transfer";
+          hypercall_overhead h hc_grant_transfer;
           ready h d (do_grant_exchange h d ~dom ~gref ~give))
   | H_gnttab_copy { dom; gref; bytes; tag } ->
       (
-          hypercall_overhead h "vmm.hcall.grant_map";
+          hypercall_overhead h hc_grant_map;
           ready h d (do_grant_copy h d ~dom ~gref ~bytes ~tag))
   | H_pt_map { frame; vpn; writable } ->
       (
           let arch = h.mach.Machine.arch in
           (match d.pt_mode with
           | Paravirt ->
-              hypercall_overhead h "vmm.hcall.pt";
+              hypercall_overhead h hc_pt;
               vburn h (Costs.pt_validate + arch.Arch.pt_update_cost)
           | Shadow ->
               (* The guest's native PTE write faults on the write-protected
@@ -905,7 +920,7 @@ let handle_hypercall h (d : domain) call =
                 (arch.Arch.trap_cost + arch.Arch.kernel_exit_cost
                + Costs.shadow_sync
                 + (2 * arch.Arch.pt_update_cost));
-              touch_region h "vmm.hcall.pt");
+              touch_region h hc_pt);
           if frame.Frame.owner <> d.name then
             ready h d (R_error Permission_denied)
           else begin
@@ -918,7 +933,7 @@ let handle_hypercall h (d : domain) call =
           let arch = h.mach.Machine.arch in
           (match d.pt_mode with
           | Paravirt ->
-              hypercall_overhead h "vmm.hcall.pt";
+              hypercall_overhead h hc_pt;
               vburn h (Costs.pt_validate + arch.Arch.pt_update_cost)
           | Shadow ->
               Counter.incr_id h.mach.Machine.counters h.ids.id_shadow_sync;
@@ -926,7 +941,7 @@ let handle_hypercall h (d : domain) call =
                 (arch.Arch.trap_cost + arch.Arch.kernel_exit_cost
                + Costs.shadow_sync
                 + (2 * arch.Arch.pt_update_cost));
-              touch_region h "vmm.hcall.pt");
+              touch_region h hc_pt);
           ignore (Page_table.unmap d.space ~vpn);
           Tlb.invalidate h.mach.Machine.tlb ~asid:(Page_table.asid d.space) ~vpn;
           Counter.incr_id h.mach.Machine.counters h.ids.id_pt_update;
@@ -951,7 +966,7 @@ let handle_hypercall h (d : domain) call =
           (match d.pt_mode with
           | Paravirt ->
               (* One trap amortised over the whole batch. *)
-              hypercall_overhead h "vmm.hcall.pt";
+              hypercall_overhead h hc_pt;
               List.iter
                 (fun op ->
                   vburn h (Costs.pt_validate + arch.Arch.pt_update_cost);
@@ -966,44 +981,44 @@ let handle_hypercall h (d : domain) call =
                     (arch.Arch.trap_cost + arch.Arch.kernel_exit_cost
                    + Costs.shadow_sync
                     + (2 * arch.Arch.pt_update_cost));
-                  touch_region h "vmm.hcall.pt";
+                  touch_region h hc_pt;
                   apply op)
                 ops);
           ready h d R_unit)
   | H_set_trap_table { int80_direct } ->
       (
-          hypercall_overhead h "vmm.hcall.trap";
+          hypercall_overhead h hc_trap;
           d.int80_direct <- int80_direct;
           ready h d R_unit)
   | H_load_segment (sel, desc) ->
       (
           (* Paravirtualised descriptor update: a real hypercall. *)
-          hypercall_overhead h "vmm.hcall.trap";
+          hypercall_overhead h hc_trap;
           vburn h h.mach.Machine.arch.Arch.segment_reload_cost;
           Segments.load d.segments sel desc;
           ready h d R_unit)
   | H_syscall_trap -> ready h d (do_syscall_trap h d)
   | H_xs_write { path; value } ->
       (
-          hypercall_overhead h "vmm.hcall.dispatch";
+          hypercall_overhead h hc_dispatch;
           do_xs_write h path value;
           ready h d R_unit)
   | H_xs_read path ->
       (
-          hypercall_overhead h "vmm.hcall.dispatch";
+          hypercall_overhead h hc_dispatch;
           ready h d (R_xs (Hashtbl.find_opt h.xenstore path)))
   | H_xs_rm path ->
       (
-          hypercall_overhead h "vmm.hcall.dispatch";
+          hypercall_overhead h hc_dispatch;
           Hashtbl.remove h.xenstore path;
           ready h d R_unit)
   | H_xs_watch prefix ->
       (
-          hypercall_overhead h "vmm.hcall.evtchn";
+          hypercall_overhead h hc_evtchn;
           ready h d (R_port (do_xs_watch h d prefix)))
   | H_dom_create { cd_name; cd_privileged; cd_weight; cd_body } ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h hc_domctl;
           if not d.privileged then ready h d (R_error Permission_denied)
           else if cd_weight < 1 then
             ready h d (R_error (Not_virtualisable "weight"))
@@ -1017,11 +1032,11 @@ let handle_hypercall h (d : domain) call =
           end)
   | H_dom_alive domid ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h hc_domctl;
           ready h d (R_bool (is_alive h domid)))
   | H_dom_pause domid ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h hc_domctl;
           if not d.privileged then ready h d (R_error Permission_denied)
           else
             match find_alive h domid with
@@ -1032,7 +1047,7 @@ let handle_hypercall h (d : domain) call =
                 ready h d R_unit)
   | H_dom_unpause domid ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h hc_domctl;
           if not d.privileged then ready h d (R_error Permission_denied)
           else
             match find_alive h domid with
@@ -1047,7 +1062,7 @@ let handle_hypercall h (d : domain) call =
                 ready h d R_unit)
   | H_log_dirty { ld_dom; ld_enable } ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h hc_domctl;
           if not d.privileged then ready h d (R_error Permission_denied)
           else
             match find_alive h ld_dom with
@@ -1061,7 +1076,7 @@ let handle_hypercall h (d : domain) call =
                 ready h d R_unit)
   | H_dirty_read domid ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h hc_domctl;
           if not d.privileged then ready h d (R_error Permission_denied)
           else
             match find_alive h domid with

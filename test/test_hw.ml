@@ -195,8 +195,175 @@ let test_cache_eviction_under_pressure () =
   let c = Cache.create ~lines:4 ~line_bytes:64 ~refill_cost:10 in
   ignore (Cache.touch c ~region:"a" ~lines:4);
   ignore (Cache.touch c ~region:"b" ~lines:4);
-  let cost = Cache.touch c ~region:"a" ~lines:4 in
-  check_bool "a was evicted, must refill" true (cost > 0)
+  check_int "b evicted all of a" 0 (Cache.footprint_bytes c ~region:"a");
+  check_int "a refills every line" 40 (Cache.touch c ~region:"a" ~lines:4);
+  (* The victim is the least recently used line, not the oldest insert
+     (FIFO) nor the newest (MRU): a0 is re-touched after b0 arrives, so
+     c0 must evict a1. *)
+  let c = Cache.create ~lines:3 ~line_bytes:64 ~refill_cost:10 in
+  ignore (Cache.touch c ~region:"a" ~lines:2);
+  ignore (Cache.touch c ~region:"b" ~lines:1);
+  check_int "a0 re-touched" 0 (Cache.touch c ~region:"a" ~lines:1);
+  check_int "c0 misses" 10 (Cache.touch c ~region:"c" ~lines:1);
+  check_int "one line of a left" 64 (Cache.footprint_bytes c ~region:"a");
+  check_int "b0 stayed" 64 (Cache.footprint_bytes c ~region:"b");
+  check_int "a0 stayed, a1 refills" 10 (Cache.touch c ~region:"a" ~lines:2);
+  check_int "which evicted b0" 0 (Cache.footprint_bytes c ~region:"b");
+  check_int "full" 3 (Cache.resident_lines c)
+
+(* The cache as it was before it became an exact LRU over dense ids: an
+   MRU-first list of (region, index) lines, truncated to capacity on a
+   miss. Kept here as the reference the LRU must match on every count. *)
+module Mru_list = struct
+  type line = { region : string; index : int }
+
+  type t = {
+    capacity : int;
+    line_bytes : int;
+    refill_cost : int;
+    mutable lines : line list;
+    mutable hits : int;
+    mutable misses : int;
+    mutable miss_cycles : int;
+  }
+
+  let create ~lines ~line_bytes ~refill_cost =
+    {
+      capacity = lines;
+      line_bytes;
+      refill_cost;
+      lines = [];
+      hits = 0;
+      misses = 0;
+      miss_cycles = 0;
+    }
+
+  let truncate n xs =
+    let rec take i = function
+      | [] -> []
+      | _ when i = 0 -> []
+      | x :: rest -> x :: take (i - 1) rest
+    in
+    take n xs
+
+  let touch_line t line =
+    let rec split acc = function
+      | [] -> None
+      | l :: rest when l = line -> Some (List.rev_append acc rest)
+      | l :: rest -> split (l :: acc) rest
+    in
+    match split [] t.lines with
+    | Some rest ->
+        t.hits <- t.hits + 1;
+        t.lines <- line :: rest;
+        0
+    | None ->
+        t.misses <- t.misses + 1;
+        t.miss_cycles <- t.miss_cycles + t.refill_cost;
+        t.lines <- truncate t.capacity (line :: t.lines);
+        t.refill_cost
+
+  let touch t ~region ~lines =
+    let cost = ref 0 in
+    for index = 0 to lines - 1 do
+      cost := !cost + touch_line t { region; index }
+    done;
+    !cost
+
+  let footprint_bytes t ~region =
+    t.line_bytes
+    * List.length (List.filter (fun l -> l.region = region) t.lines)
+
+  let flush t = t.lines <- []
+
+  let reset_stats t =
+    t.hits <- 0;
+    t.misses <- 0;
+    t.miss_cycles <- 0
+end
+
+type cache_op = Touch of int * int | Flush | Reset_stats
+
+let cache_regions = [| "r0"; "r1"; "r2"; "r3" |]
+
+let print_cache_op = function
+  | Touch (r, n) -> Printf.sprintf "touch %s %d" cache_regions.(r) n
+  | Flush -> "flush"
+  | Reset_stats -> "reset_stats"
+
+(* Capacities of 1-8 lines against 1-4 regions of 1-6 lines, so streams
+   both evict and re-touch lines that were evicted; a touch may cover
+   any prefix of its region, including none of it. *)
+let arb_cache_case =
+  let open QCheck.Gen in
+  let case =
+    int_range 1 8 >>= fun capacity ->
+    int_range 1 4 >>= fun nregions ->
+    array_repeat nregions (int_range 1 6) >>= fun sizes ->
+    let op =
+      frequency
+        [
+          ( 12,
+            int_bound (nregions - 1) >>= fun r ->
+            map (fun n -> Touch (r, n)) (int_bound sizes.(r)) );
+          (1, return Flush);
+          (1, return Reset_stats);
+        ]
+    in
+    map (fun ops -> (capacity, ops)) (list_size (int_bound 60) op)
+  in
+  QCheck.make
+    ~print:(fun (capacity, ops) ->
+      Printf.sprintf "capacity %d: %s" capacity
+        (String.concat "; " (List.map print_cache_op ops)))
+    case
+
+let prop_cache_lru_equals_mru_list =
+  QCheck.Test.make ~name:"cache: exact LRU == MRU-list reference" ~count:500
+    arb_cache_case (fun (capacity, ops) ->
+      let c = Cache.create ~lines:capacity ~line_bytes:64 ~refill_cost:7 in
+      let m = Mru_list.create ~lines:capacity ~line_bytes:64 ~refill_cost:7 in
+      List.for_all
+        (fun op ->
+          let same_cost =
+            match op with
+            | Touch (r, lines) ->
+                let region = cache_regions.(r) in
+                Cache.touch c ~region ~lines = Mru_list.touch m ~region ~lines
+            | Flush ->
+                Cache.flush c;
+                Mru_list.flush m;
+                true
+            | Reset_stats ->
+                Cache.reset_stats c;
+                Mru_list.reset_stats m;
+                true
+          in
+          same_cost
+          && Cache.hits c = m.Mru_list.hits
+          && Cache.misses c = m.Mru_list.misses
+          && Cache.miss_cycles c = m.Mru_list.miss_cycles
+          && Cache.resident_lines c = List.length m.Mru_list.lines
+          && Array.for_all
+               (fun region ->
+                 Cache.footprint_bytes c ~region
+                 = Mru_list.footprint_bytes m ~region)
+               cache_regions)
+        ops)
+
+let test_cache_hit_allocation_free () =
+  let c = Cache.of_profile Arch.default in
+  ignore (Cache.touch c ~region:"ipc.path" ~lines:14);
+  ignore (Cache.touch c ~region:"vmm.hcall.pt" ~lines:20);
+  (* Alternating regions moves every line to the front on each pass. *)
+  let resident () =
+    for _ = 1 to 500 do
+      ignore (Cache.touch c ~region:"ipc.path" ~lines:14);
+      ignore (Cache.touch c ~region:"vmm.hcall.pt" ~lines:20)
+    done
+  in
+  check_int "minor words for 1000 resident touches" 0 (Alloc.words resident);
+  check_int "all hits" (500 * 34) (Cache.hits c)
 
 let test_cache_of_profile_flush () =
   let c = Cache.of_profile Arch.default in
@@ -504,6 +671,9 @@ let suite =
       test_cache_touch_costs_then_free;
     Alcotest.test_case "cache: eviction" `Quick test_cache_eviction_under_pressure;
     Alcotest.test_case "cache: flush" `Quick test_cache_of_profile_flush;
+    QCheck_alcotest.to_alcotest prop_cache_lru_equals_mru_list;
+    Alcotest.test_case "cache: resident touch allocation-free" `Quick
+      test_cache_hit_allocation_free;
     Alcotest.test_case "segments: default excludes hole" `Quick
       test_segments_default_excludes_hole;
     Alcotest.test_case "segments: glibc TLS breaks exclusion" `Quick

@@ -145,29 +145,45 @@ let test_shootdown_reaches_empty_cores () =
     (Accounts.cpu_balance acc ~cpu:0 "smp.shootdown")
 
 let test_equal_due_time_ordering () =
-  (* Two senders on different cores fire at the same virtual instant; the
-     receiver must see them in a stable, reproducible order. *)
+  (* One receiver, busy for five quanta while its mailbox fills, gets
+     tags whose visible times fall and tie in arrival order: two device
+     posts before the run (visible at 0), then in round 0 three remote
+     sends (a busy receiver sees each one cache-line delay after the
+     send): [a] at 700 + 100 + 60 = 860, then [b] and [c] on
+     identical paths at 400 + 100 + 60 = 560, and last a post from an
+     engine event that fires at the round's end (1000). [recv] must
+     return them by visible time, ties in arrival order, and the same
+     way on every rerun. *)
   let observe () =
-    let mach = Machine.create ~cpus:3 ~seed:3L () in
+    let mach = Machine.create ~cpus:4 ~seed:3L () in
     let smp = Smp.create mach in
     let seen = ref [] in
     let sink =
       Smp.spawn smp ~name:"sink" ~cpu:0 (fun () ->
-          for _ = 1 to 2 do
+          Smp.burn 5_000;
+          for _ = 1 to 6 do
             seen := Smp.recv () :: !seen
           done)
     in
-    ignore
-      (Smp.spawn smp ~name:"a" ~cpu:1 (fun () ->
-           Smp.send ~dst:sink ~tag:101 ~cycles:100));
-    ignore
-      (Smp.spawn smp ~name:"b" ~cpu:2 (fun () ->
-           Smp.send ~dst:sink ~tag:202 ~cycles:100));
+    let sender name cpu ~burn ~tag =
+      ignore
+        (Smp.spawn smp ~name ~cpu (fun () ->
+             Smp.burn burn;
+             Smp.send ~dst:sink ~tag ~cycles:100))
+    in
+    sender "a" 1 ~burn:700 ~tag:1;
+    sender "b" 2 ~burn:400 ~tag:2;
+    sender "c" 3 ~burn:400 ~tag:3;
+    Smp.post smp ~dst:sink 10;
+    Smp.post smp ~dst:sink 11;
+    Vmk_sim.Engine.at mach.Machine.engine 1L (fun () ->
+        Smp.post smp ~dst:sink 12);
     ignore (Smp.run smp);
     List.rev !seen
   in
   let first = observe () in
-  check int "both arrived" 2 (List.length first);
+  check (Alcotest.list int) "by visible time, ties in arrival order"
+    [ 10; 11; 2; 3; 1; 12 ] first;
   for _ = 1 to 5 do
     check (Alcotest.list int) "stable order across reruns" first (observe ())
   done
